@@ -89,7 +89,8 @@ def zeta_min(params: PerfectCodeParams, constellation: QamConstellation,
                 best = min(best, float(diffs[nz].min()))
         # only self-pairs may coincide: the generator rows have irrational
         # entry ratios, so distinct lattice points never collide per row
-        assert zero_pairs == d * n
+        if zero_pairs != d * n:
+            raise RuntimeError("zeta_min: distinct lattice points coincide in a row")
         return best
     rng = np.random.default_rng(seed)
     a = rng.integers(0, k, (n_samples, d))

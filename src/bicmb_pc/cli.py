@@ -70,6 +70,12 @@ def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
     return SystemConfig(**values)
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def _snr_grid(args) -> np.ndarray:
     if args.snr_step <= 0:
         raise ValueError("--snr-step must be positive")
@@ -210,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--snr-step", type=float, default=1.0)
     sweep.add_argument("--seed", type=int, default=None,
                        help="override master_seed from the config")
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=_positive_int, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
     analyze = sub.add_parser("analyze", help="diversity report for a sweep CSV")

@@ -67,6 +67,8 @@ class SystemConfig:
         p = np.asarray(self.n_paths)
         if b.shape != (self.l_r, self.l_t) or p.shape != b.shape:
             raise ValueError("beta and n_paths must be (l_r, l_t) grids")
+        if not np.isfinite(b).all():
+            raise ValueError("beta entries must be finite")
         if (b < 0).any() or b.sum() == 0:
             raise ValueError("beta must be nonnegative with a positive sum")
         if (p < 1).any() or p.dtype.kind not in "iu":
@@ -157,13 +159,6 @@ class _FramePipeline:
         ).conj()
         self.gcols = group_columns(d)
         self.grows = np.arange(d)[None, :]
-        if d <= 3:
-            kk = self.constellation.order
-            grids = np.meshgrid(*([np.arange(kk)] * d), indexing="ij")
-            self.cands = self.constellation.points[
-                np.stack([g.ravel() for g in grids])]
-        else:
-            self.cands = None
 
     def frame_rng(self, snr_index: int, frame_index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -208,56 +203,12 @@ class _FramePipeline:
         groups = (self.weights_conj * y[:, :, self.grows, self.gcols]).reshape(
             n_frames, cfg.n_codewords * d, d)
 
-        if d <= 3:
-            gamma = self._metrics_batched(lam, groups)
-        else:
-            gamma = np.empty((n_frames, cfg.n_codewords * d, d,
-                              self.constellation.bits_per_symbol, 2))
-            for i in range(n_frames):
-                eng = MetricEngine(self.params, self.constellation, lam[i])
-                gamma[i] = eng.bit_metrics(groups[i]).gamma
-
+        engine = MetricEngine(self.params, self.constellation, lam)
+        gamma = engine.bit_metrics(groups).gamma
         pairs = gamma[:, self.group_idx, self.pos_idx, self.bit_j, :]
         decoded = viterbi_decode_batch(pairs[:, self.deint_rows, :])
         errors = int((decoded != info).sum())
         return n_frames * cfg.n_info, errors
-
-    def _metrics_batched(self, lam, groups):
-        """Vectorized exhaustive subset minima across frames and groups."""
-        c = self.constellation
-        d = self.config.dim
-        kk = c.order
-        n_frames, n_groups, _ = groups.shape
-        q, r = qr_reduce_stack(lam[:, :, None] * self.params.generator)
-        qobs = np.einsum("fij,fgj->fgi", q.conj().transpose(0, 2, 1), groups)
-        images = np.einsum("fij,jc->fic", r, self.cands)
-        cross = np.einsum("fgi,fic->fgc", qobs, images.conj()).real
-        dists = (np.abs(qobs) ** 2).sum(-1)[:, :, None] \
-            + (np.abs(images) ** 2).sum(1)[:, None, :] - 2.0 * cross
-        dists = dists.reshape((n_frames, n_groups) + d * (kk,))
-        gamma = np.empty((n_frames, n_groups, d, c.bits_per_symbol, 2))
-        axes = tuple(range(2, d + 2))
-        for m in range(d):
-            reduce_over = tuple(a for a in axes if a != m + 2)
-            per_label = dists.min(axis=reduce_over)
-            for j in range(c.bits_per_symbol):
-                for b in (0, 1):
-                    gamma[:, :, m, j, b] = per_label[
-                        :, :, c.subset_indices[j, b]].min(axis=2)
-        return gamma
-
-
-def qr_reduce_stack(m: np.ndarray):
-    """Stacked qr_reduce: (f, d, d) -> Q, R with nonnegative real R diagonal."""
-    q, r = np.linalg.qr(m)
-    d = r.shape[-1]
-    idx = np.arange(d)
-    piv = r[:, idx, idx]
-    mag = np.abs(piv)
-    rot = np.where(mag > 0, np.conj(piv) / np.where(mag > 0, mag, 1.0), 1.0)
-    r *= rot[:, :, None]
-    q *= rot.conj()[:, None, :]
-    return q, r
 
 
 def _batch_worker(config: SystemConfig, snr_db: float, snr_index: int,
@@ -333,11 +284,14 @@ def run_sweep(config: SystemConfig, snr_grid, workers: int = 1,
             for i, s in enumerate(grid)]
 
 
+_CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")
+
+
 def write_csv(path, results: list[PointResult], cfg_hash: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         writer = csv.writer(fh)
-        writer.writerow(["snr_db", "frames", "info_bits", "bit_errors", "ber"])
+        writer.writerow([*_CSV_COLUMNS, "ber"])
         for r in results:
             writer.writerow([f"{r.snr_db:.6f}", r.frames, r.info_bits,
                              r.bit_errors, f"{r.ber:.10e}"])
@@ -350,7 +304,11 @@ def read_csv(path):
         stored = first.split("=", 1)[1] if first.startswith("# config_hash=") else None
         if stored is None:
             fh.seek(0)
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh, restval="")     # short rows fail to parse
+        missing = [col for col in _CSV_COLUMNS if col not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing CSV columns {', '.join(missing)}")
+        rows = list(reader)
     results = [PointResult(snr_db=float(r["snr_db"]), frames=int(r["frames"]),
                            info_bits=int(r["info_bits"]),
                            bit_errors=int(r["bit_errors"])) for r in rows]

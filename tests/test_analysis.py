@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +92,14 @@ def test_zeta_min_16qam_positive_and_deterministic():
     z2 = zeta_min(params, c)
     assert z1 == z2
     assert 0 < z1 < 1
+
+
+def test_zeta_min_rejects_colliding_lattice_rows():
+    # an identity generator maps distinct symbol vectors onto the same row
+    # value, which the exact branch must report even under python -O
+    params = dataclasses.replace(build_params(2), generator=np.eye(2))
+    with pytest.raises(RuntimeError, match="coincide"):
+        zeta_min(params, QamConstellation(4))
 
 
 def test_zeta_min_sampled_upper_bounds_exact():

@@ -137,3 +137,45 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config"])
     assert exc.value.code == 2
+
+
+def test_workers_below_one_is_a_usage_error(config_file, tmp_path, capsys):
+    for bad in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config_file),
+                  "--out", str(tmp_path / "x.csv"),
+                  "--snr-min", "1", "--snr-max", "1", "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_read_csv_names_missing_columns(tmp_path):
+    path = tmp_path / "partial.csv"
+    path.write_text("# config_hash=abc\nsnr_db,frames,ber\n1.0,4,0.0\n")
+    with pytest.raises(ValueError, match="info_bits, bit_errors"):
+        read_csv(path)
+    path.write_text("snr_db,frames,info_bits,bit_errors\n1.0,4\n")
+    with pytest.raises(ValueError):
+        read_csv(path)
+
+
+def test_analyze_rejects_garbage_csv(config_file, tmp_path, capsys):
+    garbage = tmp_path / "garbage.csv"
+    garbage.write_text("lorem ipsum\n1 2 3\n")
+    rc = main(["analyze", str(garbage), "--config", str(config_file), "--force"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "snr_db" in err
+
+
+def test_analyze_rejects_non_finite_beta(tmp_path, capsys):
+    for beta in ("nan 0.01; 0.01 0.01", "nan nan; nan nan", "inf 0.01; 0.01 0.01"):
+        path = tmp_path / "nan.cfg"
+        path.write_text(BASE_CONFIG.replace("beta = 0.01 0.01; 0.01 0.01",
+                                            f"beta = {beta}"))
+        rc = main(["analyze", str(tmp_path / "unused.csv"), "--config", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: beta entries must be finite\n"

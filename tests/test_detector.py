@@ -1,17 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from bicmb_pc import detector
 from bicmb_pc.detector import (
-    BitMetricSet,
     MetricEngine,
     group_columns,
     group_decompose,
     qr_reduce,
+    sphere_metrics,
 )
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode
+from bicmb_pc.sim_engine import SystemConfig
 
 
 def brute_metrics(y_group, m_mat, constellation):
@@ -77,18 +80,22 @@ def test_group_decompose_validates_shape():
 
 def test_qr_reduce_properties():
     rng = np.random.default_rng(4)
-    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-    q, r = qr_reduce(m)
-    assert np.allclose(q @ r, m, atol=1e-12)
-    assert np.allclose(r, np.triu(r), atol=1e-14)
-    assert np.allclose(q.conj().T @ q, np.eye(5), atol=1e-12)
-    diag = r.diagonal()
-    assert np.allclose(diag.imag, 0.0, atol=1e-13)
-    assert (diag.real >= 0).all()
+    for shape in ((5, 5), (4, 3, 3)):
+        m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        q, r = qr_reduce(m)
+        eye = np.eye(shape[-1])
+        assert np.allclose(q @ r, m, atol=1e-12)
+        assert np.allclose(r, np.triu(r), atol=1e-14)
+        assert np.allclose(q.conj().swapaxes(-1, -2) @ q, eye, atol=1e-12)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        assert np.allclose(diag.imag, 0.0, atol=1e-13)
+        assert (diag.real >= 0).all()
 
 
-@pytest.mark.parametrize("order,d,n_trials", [(4, 2, 25), (16, 2, 10), (16, 3, 2)])
+@pytest.mark.parametrize("order,d,n_trials",
+                         [(4, 2, 25), (16, 2, 10), (16, 3, 2), (4, 4, 2)])
 def test_exhaustive_metrics_match_brute_force(order, d, n_trials):
+    """The LORD metrics equal full K^d enumeration without QR."""
     rng = np.random.default_rng(100 * d + order)
     params = build_params(d)
     c = QamConstellation(order)
@@ -98,8 +105,7 @@ def test_exhaustive_metrics_match_brute_force(order, d, n_trials):
         x, _ = random_symbols(rng, c, d)
         noise = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         y = m_mat @ x + noise
-        engine = MetricEngine(params, c, lam, mode="exhaustive")
-        got = engine.bit_metrics(y[None])
+        got = MetricEngine(params, c, lam).bit_metrics(y[None])
         ref_gamma, ref_umin = brute_metrics(y, m_mat, c)
         assert np.allclose(got.gamma[0], ref_gamma, atol=1e-10)
         assert got.umin[0] == pytest.approx(ref_umin, abs=1e-10)
@@ -107,6 +113,7 @@ def test_exhaustive_metrics_match_brute_force(order, d, n_trials):
 
 @pytest.mark.parametrize("order,d", [(16, 4), (4, 6)])
 def test_sphere_matches_exhaustive(order, d):
+    """The sphere search gives the same minima as LORD."""
     rng = np.random.default_rng(10 * d + order)
     params = build_params(d)
     c = QamConstellation(order)
@@ -118,16 +125,46 @@ def test_sphere_matches_exhaustive(order, d):
         noise = 0.4 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         groups.append(m_mat @ x + noise)
     groups = np.stack(groups)
-    ex = MetricEngine(params, c, lam, mode="exhaustive").bit_metrics(groups)
-    sp = MetricEngine(params, c, lam, mode="sphere").bit_metrics(groups)
-    assert np.allclose(sp.gamma, ex.gamma, atol=1e-9)
-    assert np.allclose(sp.umin, ex.umin, atol=1e-9)
+    lord = MetricEngine(params, c, lam).bit_metrics(groups)
+    q, r = qr_reduce(m_mat)
+    sphere = sphere_metrics(groups @ q.conj(), r, c)
+    assert np.allclose(sphere, lord.gamma, atol=1e-9)
+    assert np.allclose(sphere[:, 0, 0, :].min(axis=1), lord.umin, atol=1e-9)
 
 
-def test_default_mode_by_dimension():
-    c = QamConstellation(16)
-    assert MetricEngine(build_params(2), c, np.array([2.0, 1.0])).mode == "exhaustive"
-    assert MetricEngine(build_params(4), c, np.ones(4)).mode == "sphere"
+def test_sphere_search_only_above_lord_grid_limit(monkeypatch):
+    calls = []
+
+    def spy(qobs, r, constellation):
+        calls.append(qobs.shape)
+        return np.zeros(qobs.shape + (constellation.bits_per_symbol, 2))
+
+    monkeypatch.setattr(detector, "sphere_metrics", spy)
+    for d, order in ((4, 16), (6, 4)):           # K^(d-1) = 4096, 1024
+        MetricEngine(build_params(d), QamConstellation(order),
+                     np.ones(d)).bit_metrics(np.zeros((2, d)))
+    assert calls == []
+    MetricEngine(build_params(6), QamConstellation(16),
+                 np.ones((3, 6))).bit_metrics(np.zeros((3, 2, 6)))
+    assert calls == [(2, 6)] * 3
+
+
+def test_detector_memory_is_bounded():
+    """One 32-frame D=3 16-QAM batch stays within a fixed allocation ceiling."""
+    cfg = SystemConfig(dim=3)
+    n_groups = cfg.n_codewords * cfg.dim
+    rng = np.random.default_rng(9)
+    lam = np.sort(rng.uniform(0.5, 3.0, (32, 3)), axis=1)[:, ::-1]
+    groups = rng.standard_normal((32, n_groups, 3)) \
+        + 1j * rng.standard_normal((32, n_groups, 3))
+    engine = MetricEngine(build_params(3), QamConstellation(16), lam)
+    tracemalloc.start()
+    try:
+        engine.bit_metrics(groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -185,7 +222,15 @@ def test_engine_validation():
     with pytest.raises(ValueError):
         MetricEngine(params, c, np.array([1.0, -0.1]))
     with pytest.raises(ValueError):
-        MetricEngine(params, c, np.ones(2), mode="fancy")
+        MetricEngine(params, c, np.ones((2, 2, 2)))
     engine = MetricEngine(params, c, np.ones(2))
     with pytest.raises(ValueError):
         engine.bit_metrics(np.zeros((4, 3)))
+    with pytest.raises(ValueError):
+        engine.bit_metrics(np.zeros((3, 4, 2)))
+    batched = MetricEngine(params, c, np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        batched.bit_metrics(np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        batched.bit_metrics(np.zeros((2, 4, 2)))
+    assert batched.bit_metrics(np.zeros((3, 0, 2))).gamma.shape == (3, 0, 2, 4, 2)

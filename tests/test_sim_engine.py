@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from bicmb_pc.detector import MetricEngine
+from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params
 from bicmb_pc.sim_engine import (
     PointResult,
     SystemConfig,
-    _FramePipeline,
     awgn_uncoded_ber,
     config_hash,
-    qr_reduce_stack,
     read_csv,
     run_ber_point,
     run_sweep,
@@ -48,6 +46,9 @@ def test_config_validation():
         SystemConfig(beta=((1.0,),))
     with pytest.raises(ValueError):
         SystemConfig(beta=((0.0, 0.0), (0.0, 0.0)))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            SystemConfig(beta=((bad, 0.01), (0.01, 0.01)))
     with pytest.raises(ValueError):
         SystemConfig(n_paths=((2.5, 2), (2, 2)))
     with pytest.raises(ValueError):
@@ -76,7 +77,7 @@ def test_config_hash_tracks_content():
 def test_qr_reduce_stack_properties():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-    q, r = qr_reduce_stack(m)
+    q, r = qr_reduce(m)
     for i in range(4):
         assert np.allclose(q[i] @ r[i], m[i], atol=1e-12)
         diag = r[i].diagonal()
@@ -85,19 +86,23 @@ def test_qr_reduce_stack_properties():
 
 
 def test_batched_metrics_match_metric_engine():
-    cfg = SMALL
-    pipe = _FramePipeline(cfg)
+    """One batched detector call equals per-frame calls.
+
+    The D=3, 4 and 6 cases split into chunks across groups or frames.
+    """
     rng = np.random.default_rng(11)
-    n_frames, n_groups = 3, cfg.n_codewords * cfg.dim
-    lam = np.sort(rng.uniform(0.5, 3.0, (n_frames, cfg.dim)), axis=1)[:, ::-1]
-    groups = rng.standard_normal((n_frames, n_groups, cfg.dim)) \
-        + 1j * rng.standard_normal((n_frames, n_groups, cfg.dim))
-    batched = pipe._metrics_batched(lam, groups)
-    params = build_params(cfg.dim)
-    c = QamConstellation(cfg.constellation_order)
-    for i in range(n_frames):
-        ref = MetricEngine(params, c, lam[i]).bit_metrics(groups[i]).gamma
-        assert np.allclose(batched[i], ref, atol=1e-9)
+    for dim, order, n_groups in ((2, 16, SMALL.n_codewords * 2), (3, 16, 150),
+                                 (4, 16, 4), (6, 4, 40)):
+        params = build_params(dim)
+        c = QamConstellation(order)
+        lam = np.sort(rng.uniform(0.5, 3.0, (3, dim)), axis=1)[:, ::-1]
+        groups = rng.standard_normal((3, n_groups, dim)) \
+            + 1j * rng.standard_normal((3, n_groups, dim))
+        batched = MetricEngine(params, c, lam).bit_metrics(groups)
+        for i in range(3):
+            ref = MetricEngine(params, c, lam[i]).bit_metrics(groups[i])
+            assert np.allclose(batched.gamma[i], ref.gamma, atol=1e-12)
+            assert np.allclose(batched.umin[i], ref.umin, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
