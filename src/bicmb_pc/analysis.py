@@ -73,9 +73,7 @@ def zeta_min(params: PerfectCodeParams, constellation: QamConstellation,
     d = params.dim
     g = params.generator
     if k ** d <= 4096:
-        grids = np.meshgrid(*([np.arange(k)] * d), indexing="ij")
-        cands = constellation.points[np.stack([a.ravel() for a in grids])]
-        proj = g @ cands                        # (d, K^d)
+        proj = g @ constellation.grid(d)        # (d, K^d)
         best = np.inf
         n = proj.shape[1]
         chunk = 512

@@ -19,8 +19,9 @@ import numpy as np
 
 from .analysis import empirical_slope, welch_satterthwaite, zeta_min
 from .detector import MetricEngine, group_decompose
-from .fec import Interleaver, QamConstellation, conv_encode, free_distance, viterbi_decode
-from .pstbc import SUPPORTED_DIMS, build_params, encode
+from .fec import (N_TAIL, Interleaver, QamConstellation, conv_encode, free_distance,
+                  viterbi_decode_batch)
+from .pstbc import SUPPORTED_DIMS, build_params, encode_batch
 from .sim_engine import (
     SystemConfig,
     config_hash,
@@ -145,8 +146,9 @@ def _selftest_checks(params_by_dim, verbose=True):
         ed = np.linalg.matrix_power(params.shift, d)
         check(f"shift identity (d={d})", np.abs(ed - params.g * np.eye(d)).max() < 1e-12)
         x = rng.standard_normal((20, d, d)) + 1j * rng.standard_normal((20, d, d))
-        worst = max(abs(np.linalg.norm(encode(params, xi).z) - np.linalg.norm(xi))
-                    for xi in x)
+        z = encode_batch(params, x)
+        worst = np.abs(np.linalg.norm(z, axis=(1, 2))
+                       - np.linalg.norm(x, axis=(1, 2))).max()
         check(f"codeword energy preserved (d={d})", worst < 1e-10)
 
     check("free distance = 10", free_distance() == 10)
@@ -157,10 +159,11 @@ def _selftest_checks(params_by_dim, verbose=True):
           np.array_equal(ivl.deinterleave(ivl.interleave(bits)), bits))
 
     info = rng.integers(0, 2, 58).astype(np.uint8)
-    coded = conv_encode(np.concatenate([info, np.zeros(6, dtype=np.uint8)]))
-    metrics = np.zeros((coded.size, 2))
-    metrics[np.arange(coded.size), 1 - coded] = 1.0
-    check("viterbi clean loopback", np.array_equal(viterbi_decode(metrics), info))
+    coded = conv_encode(np.concatenate([info, np.zeros(N_TAIL, dtype=np.uint8)]))
+    metrics = np.zeros((1, coded.size, 2))
+    metrics[0, np.arange(coded.size), 1 - coded] = 1.0
+    check("viterbi clean loopback",
+          np.array_equal(viterbi_decode_batch(metrics)[0], info))
 
     c = QamConstellation(16)
     check("constellation unit energy",
@@ -170,7 +173,7 @@ def _selftest_checks(params_by_dim, verbose=True):
     lam = np.array([2.0, 1.0])
     labels = rng.integers(0, 16, (2, 2))
     x = c.points[labels]
-    z = encode(params, x).z
+    z = encode_batch(params, x)
     groups = group_decompose(lam[:, None] * z, params)
     out = MetricEngine(params, c, lam).bit_metrics(groups)
     hit = all(out.gamma[v, m, j, c.qam_bit_label(int(labels[v, m]), j)] < 1e-12

@@ -121,8 +121,7 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray,
     c = constellation
     n_frames, n, d = qobs.shape
     k, bps = c.order, c.bits_per_symbol
-    grids = np.meshgrid(*([np.arange(k)] * (d - 1)), indexing="ij")
-    rest = c.points[np.stack([g.ravel() for g in grids])]   # x_2..x_d candidates
+    rest = c.grid(d - 1)                # x_2..x_d candidates
     n_cand = rest.shape[1]
     levels = np.unique(c.points.real)
     # level index of each label's I and Q coordinate

@@ -1,4 +1,4 @@
-"""Rate-1/2 convolutional code, random bit interleaver, Gray QAM mapping.
+"""Rate-1/2 K=7 (133, 171) convolutional code, random bit interleaver, Gray QAM.
 
 The decoder works on per-coded-bit metric pairs (gamma(bit=0), gamma(bit=1))
 supplied by the detector, so any soft metric that is additive over coded
@@ -7,62 +7,46 @@ traced back from the all-zero state.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import heapq
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class ConvCode:
-    """Feedforward rate-1/2 code; generators are octal tap masks."""
-
-    constraint_length: int = 7
-    generators: tuple[int, int] = (0o133, 0o171)
-
-    @property
-    def n_states(self) -> int:
-        return 1 << (self.constraint_length - 1)
-
-    def taps(self, which: int) -> np.ndarray:
-        k = self.constraint_length
-        gen = self.generators[which]
-        return np.array([(gen >> (k - 1 - i)) & 1 for i in range(k)], dtype=np.uint8)
-
-
-DEFAULT_CODE = ConvCode()
+# Feedforward rate-1/2 code, constraint length K = 7, octal tap masks 133, 171.
+K = 7
+GENERATORS = (0o133, 0o171)
+N_STATES = 1 << (K - 1)
+N_TAIL = K - 1      # zero bits that flush the register back to state 0
 
 
 @lru_cache(maxsize=None)
-def _tables(code: ConvCode):
+def _tables():
     """next_state[s, b], out0[s, b], out1[s, b] plus predecessor gathers."""
-    k = code.constraint_length
-    n = code.n_states
+    n = N_STATES
     states = np.arange(n, dtype=np.int64)
     nxt = np.zeros((n, 2), dtype=np.int64)
     out0 = np.zeros((n, 2), dtype=np.int64)
     out1 = np.zeros((n, 2), dtype=np.int64)
     for b in (0, 1):
-        reg = (b << (k - 1)) | states          # current input in the MSB
+        reg = (b << (K - 1)) | states          # current input in the MSB
         nxt[:, b] = reg >> 1
-        for which, out in ((0, out0), (1, out1)):
-            acc = reg & code.generators[which]
+        for gen, out in zip(GENERATORS, (out0, out1)):
+            acc = reg & gen
             # popcount parity
             par = np.zeros(n, dtype=np.int64)
-            for i in range(k):
+            for i in range(K):
                 par ^= (acc >> i) & 1
             out[:, b] = par
     # predecessors: state t is reached from 2*(t % (n/2)) and that + 1,
-    # consuming input bit t >> (k - 2)
+    # consuming input bit t >> (K - 2)
     t = states
     pred0 = 2 * (t & (n // 2 - 1))
     pred1 = pred0 + 1
-    bsel = t >> (k - 2)
+    bsel = t >> (K - 2)
     return nxt, out0, out1, pred0, pred1, bsel
 
 
-def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
+def conv_encode(bits: np.ndarray) -> np.ndarray:
     """Encode from the all-zero state; returns 2*len(bits) coded bits.
 
     Tail bits that flush the register are the caller's responsibility.
@@ -74,15 +58,15 @@ def conv_encode(bits: np.ndarray, code: ConvCode = DEFAULT_CODE) -> np.ndarray:
         raise ValueError("bits must be 0/1")
     b = b.astype(np.uint8)
     out = np.empty(2 * b.size, dtype=np.uint8)
-    for which in (0, 1):
-        stream = np.convolve(b, code.taps(which))[: b.size] % 2
-        out[which::2] = stream
+    for which, gen in enumerate(GENERATORS):
+        taps = ((gen >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
+        out[which::2] = np.convolve(b, taps)[: b.size] % 2
     return out
 
 
-def free_distance(code: ConvCode = DEFAULT_CODE) -> int:
+def free_distance() -> int:
     """Minimum Hamming weight over nonzero paths leaving and rejoining state 0."""
-    nxt, out0, out1, *_ = _tables(code)
+    nxt, out0, out1, *_ = _tables()
     # forced divergence: input 1 from state 0
     start = nxt[0, 1]
     heap = [(int(out0[0, 1] + out1[0, 1]), int(start))]
@@ -103,23 +87,22 @@ def free_distance(code: ConvCode = DEFAULT_CODE) -> int:
     return int(best_merge)
 
 
-def viterbi_decode_batch(metrics: np.ndarray, code: ConvCode = DEFAULT_CODE,
-                         n_tail: int = 6) -> np.ndarray:
+def viterbi_decode_batch(metrics: np.ndarray) -> np.ndarray:
     """Decode a batch of frames of per-coded-bit metric pairs.
 
     metrics: (n_frames, 2*T, 2) with metrics[f, k, v] the cost of coded bit
     k taking value v.  Paths start and end in state 0; ties prefer the
-    lower predecessor state.  Returns (n_frames, T - n_tail) info bits.
+    lower predecessor state.  Returns (n_frames, T - N_TAIL) info bits.
     """
     m = np.asarray(metrics, dtype=float)
     if m.ndim != 3 or m.shape[2] != 2 or m.shape[1] % 2:
         raise ValueError("metrics must be shaped (n_frames, 2*T, 2)")
     n_frames, twot, _ = m.shape
     steps = twot // 2
-    if steps <= n_tail:
+    if steps <= N_TAIL:
         raise ValueError("frame shorter than the tail")
-    _, out0, out1, pred0, pred1, bsel = _tables(code)
-    n = code.n_states
+    _, out0, out1, pred0, pred1, bsel = _tables()
+    n = N_STATES
 
     pm = np.full((n_frames, n), np.inf)
     pm[:, 0] = 0.0
@@ -138,16 +121,10 @@ def viterbi_decode_batch(metrics: np.ndarray, code: ConvCode = DEFAULT_CODE,
     state = np.zeros(n_frames, dtype=np.int64)
     rows = np.arange(n_frames)
     for t in range(steps - 1, -1, -1):
-        bits[:, t] = (state >> (code.constraint_length - 2)).astype(np.uint8)
+        bits[:, t] = (state >> (K - 2)).astype(np.uint8)
         took1 = choice[t, rows, state]
         state = np.where(took1, pred1[state], pred0[state])
-    return bits[:, : steps - n_tail]
-
-
-def viterbi_decode(metrics: np.ndarray, code: ConvCode = DEFAULT_CODE,
-                   n_tail: int = 6) -> np.ndarray:
-    """Single-frame wrapper around viterbi_decode_batch."""
-    return viterbi_decode_batch(np.asarray(metrics)[None], code, n_tail)[0]
+    return bits[:, : steps - N_TAIL]
 
 
 class Interleaver:
@@ -172,14 +149,6 @@ class Interleaver:
         if x.shape[0] != self.n_bits:
             raise ValueError(f"expected leading dimension {self.n_bits}, got {x.shape[0]}")
         return x[self._inverse]
-
-
-def interleave(x: np.ndarray, ivl: Interleaver) -> np.ndarray:
-    return ivl.interleave(x)
-
-
-def deinterleave(x: np.ndarray, ivl: Interleaver) -> np.ndarray:
-    return ivl.deinterleave(x)
 
 
 def _gray_to_binary(g: int) -> int:
@@ -249,7 +218,9 @@ class QamConstellation:
         labels = groups @ weights
         return self.points[labels]
 
-    def labels_of(self, bits: np.ndarray) -> np.ndarray:
-        b = np.asarray(bits).reshape(-1, self.bits_per_symbol)
-        weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
-        return b @ weights
+    def grid(self, n: int) -> np.ndarray:
+        """All K^n symbol n-vectors as columns of an (n, K^n) array.
+
+        The last row's label varies fastest (row-major label order).
+        """
+        return self.points[np.indices((self.order,) * n).reshape(n, -1)]

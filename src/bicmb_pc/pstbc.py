@@ -11,6 +11,10 @@ corner.  E^D = g I, so the D layers occupy D disjoint twisted diagonals:
 entry (u, c) of Z belongs to layer v = ((c - u) mod D) + 1 and equals
 (G x_v)_u, times g when the diagonal wraps (c < u).
 
+encode_batch is the one encoder: it maps a single (D, D) block of input
+vectors or any stack (..., D, D) of them.  layer_of_entry and omega_matrix
+describe the layer placement the detector unwinds.
+
 Generators: the Golden code for D = 2; for D = 3, 4, 6 the cyclotomic
 constructions over Q(omega, 2cos(2pi/7)), Q(i, 2cos(2pi/15)) and
 Q(omega, 2cos(2pi/28)), with a trace-orthonormal ideal basis reduced to
@@ -83,12 +87,6 @@ class PerfectCodeParams:
     shift_powers: tuple = field(repr=False, default=())
 
 
-@dataclass
-class PstbcCodeword:
-    z: np.ndarray
-    inputs: np.ndarray
-
-
 def _golden_generator() -> np.ndarray:
     rho = (1 + np.sqrt(5)) / 2
     rho_c = (1 - np.sqrt(5)) / 2
@@ -155,30 +153,17 @@ def layer_of_entry(u: int, c: int, dim: int) -> tuple[int, complex | float]:
     return v, weight
 
 
-def encode(params: PerfectCodeParams, inputs: np.ndarray) -> PstbcCodeword:
-    """Map D input vectors (rows of `inputs`) onto one codeword matrix.
-
-    inputs[v - 1] is the D-vector x_v.
-    """
-    x = np.asarray(inputs, dtype=complex)
-    d = params.dim
-    if x.shape != (d, d):
-        raise ValueError(f"inputs must be shaped ({d}, {d}); got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("inputs must be finite")
-    z = np.zeros((d, d), dtype=complex)
-    rotated = x @ params.generator.T          # row v-1 holds G x_v
-    for v in range(d):
-        z += rotated[v, :, None] * params.shift_powers[v]
-    return PstbcCodeword(z=z, inputs=x.copy())
-
-
 def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
-    """Codeword matrices for a stack of input blocks shaped (..., D, D)."""
+    """Codeword matrices for one input block (D, D) or a stack (..., D, D).
+
+    inputs[..., v - 1, :] is the D-vector x_v of each codeword.
+    """
     x = np.asarray(inputs, dtype=complex)
     d = params.dim
     if x.ndim < 2 or x.shape[-2:] != (d, d):
         raise ValueError(f"inputs must be shaped (..., {d}, {d}); got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("inputs must be finite")
     rotated = x @ params.generator.T
     z = np.zeros_like(x)
     for v in range(d):

@@ -5,25 +5,50 @@ block.  Frames are reproducible in isolation: frame k of SNR point i uses
 np.random.default_rng([master_seed, 1, i, k]), so results are identical
 for any worker count or batch schedule.  Points stop at a batch boundary
 once the bit-error or frame budget is reached.
+
+SVD beamforming reduces each channel H to the D strongest subchannels:
+W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
+because W has orthonormal columns, so frames are simulated in that reduced
+form.  Noise follows n0 = total_tx / snr.  A channel whose weakest used
+singular value is numerically zero is redrawn from the same frame stream.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .beamforming import is_degenerate, noise_variance
 from .channel_model import ArrayGeometry, assemble_channel
-from .detector import MetricEngine, group_columns
-from .fec import Interleaver, QamConstellation, conv_encode, viterbi_decode_batch
-from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, omega_matrix
+from .detector import MetricEngine, group_decompose
+from .fec import N_TAIL, Interleaver, QamConstellation, conv_encode, viterbi_decode_batch
+from .pstbc import SUPPORTED_DIMS, build_params, encode_batch
 
-N_TAIL = 6
 _RESAMPLE_CAP = 1000
+
+
+def is_degenerate(lam: np.ndarray, rel_tol: float = 1e-12) -> bool:
+    """True when the weakest stream is numerically dead."""
+    lam = np.asarray(lam)
+    return bool(lam[-1] <= rel_tol * lam[0])
+
+
+def noise_variance(total_tx: int, snr_db: float) -> float:
+    if total_tx < 1:
+        raise ValueError("total_tx must be positive")
+    return total_tx / (10.0 ** (snr_db / 10.0))
+
+
+def cn_noise(rng: np.random.Generator, shape: tuple, n0: float) -> np.ndarray:
+    """Circularly symmetric complex Gaussian, variance n0 per entry."""
+    if n0 < 0:
+        raise ValueError("n0 must be nonnegative")
+    re = rng.standard_normal((*shape, 2))
+    return np.sqrt(n0 / 2.0) * (re[..., 0] + 1j * re[..., 1])
 
 
 def _grid(values) -> tuple:
@@ -89,13 +114,10 @@ class SystemConfig:
                              l_r=self.l_r, spacing=self.spacing)
 
     @property
-    def bits_per_symbol(self) -> int:
-        return 4 if self.constellation_order == 16 else 2
-
-    @property
     def n_info(self) -> int:
         """Largest info length <= nominal filling whole codewords with tail."""
-        step = self.bits_per_symbol * self.dim ** 2 // 2
+        bps = QamConstellation(self.constellation_order).bits_per_symbol
+        step = bps * self.dim ** 2 // 2
         usable = (self.nominal_info_bits + N_TAIL) // step * step
         return usable - N_TAIL
 
@@ -105,7 +127,8 @@ class SystemConfig:
 
     @property
     def n_symbols(self) -> int:
-        return self.n_coded // self.bits_per_symbol
+        bps = QamConstellation(self.constellation_order).bits_per_symbol
+        return self.n_coded // bps
 
     @property
     def n_codewords(self) -> int:
@@ -154,11 +177,6 @@ class _FramePipeline:
         self.deint_rows = self.ivl.deinterleave(np.arange(config.n_coded))
         self.beta = np.asarray(config.beta, dtype=float)
         self.paths = np.asarray(config.n_paths)
-        self.weights_conj = np.stack(
-            [omega_matrix(self.params, v + 1).diagonal() for v in range(d)]
-        ).conj()
-        self.gcols = group_columns(d)
-        self.grows = np.arange(d)[None, :]
 
     def frame_rng(self, snr_index: int, frame_index: int) -> np.random.Generator:
         return np.random.default_rng(
@@ -171,16 +189,15 @@ class _FramePipeline:
         Returns (info_bits_total, bit_errors_total).
         """
         cfg = self.config
-        d = cfg.dim
+        d, n_info, n_codewords = cfg.dim, cfg.n_info, cfg.n_codewords
         n0 = 0.0 if noiseless else noise_variance(self.geom.total_tx, snr_db)
         rngs = [self.frame_rng(snr_index, frame_start + i) for i in range(n_frames)]
 
-        info = np.stack([r.integers(0, 2, cfg.n_info) for r in rngs]).astype(np.uint8)
+        info = np.stack([r.integers(0, 2, n_info) for r in rngs]).astype(np.uint8)
         padded = np.pad(info, ((0, 0), (0, N_TAIL)))
         coded = np.stack([conv_encode(row) for row in padded])
         inter = coded[:, self.ivl.permutation]
-        symbols = np.stack([self.constellation.map_bits(row) for row in inter])
-        x = symbols.reshape(n_frames, cfg.n_codewords, d, d)
+        x = self.constellation.map_bits(inter).reshape(n_frames, n_codewords, d, d)
 
         lam = np.empty((n_frames, d))
         chans = [assemble_channel(r, self.geom, self.beta, self.paths) for r in rngs]
@@ -191,24 +208,24 @@ class _FramePipeline:
             while is_degenerate(lam[i]):
                 tries += 1
                 if tries > _RESAMPLE_CAP:
-                    raise RuntimeError("channel rank starved; check beta/n_paths")
+                    raise ValueError(
+                        f"channel rank starved: {_RESAMPLE_CAP} redraws gave fewer "
+                        f"than {d} usable streams; check beta, n_paths and spacing")
                 h = assemble_channel(rngs[i], self.geom, self.beta, self.paths)
                 lam[i] = np.linalg.svd(h, compute_uv=False)[:d]
 
         z = encode_batch(self.params, x)
         y = lam[:, None, :, None] * z
         if n0 > 0:
-            re = np.stack([r.standard_normal(z[0].shape + (2,)) for r in rngs])
-            y = y + np.sqrt(n0 / 2.0) * (re[..., 0] + 1j * re[..., 1])
-        groups = (self.weights_conj * y[:, :, self.grows, self.gcols]).reshape(
-            n_frames, cfg.n_codewords * d, d)
+            y = y + np.stack([cn_noise(r, z.shape[1:], n0) for r in rngs])
+        groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
 
         engine = MetricEngine(self.params, self.constellation, lam)
         gamma = engine.bit_metrics(groups).gamma
         pairs = gamma[:, self.group_idx, self.pos_idx, self.bit_j, :]
         decoded = viterbi_decode_batch(pairs[:, self.deint_rows, :])
         errors = int((decoded != info).sum())
-        return n_frames * cfg.n_info, errors
+        return n_frames * n_info, errors
 
 
 def _batch_worker(config: SystemConfig, snr_db: float, snr_index: int,
@@ -227,43 +244,30 @@ def run_ber_point(config: SystemConfig, snr_db: float, snr_index: int = 0,
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    bsz = config.batch_frames
+    bsz, n_info = config.batch_frames, config.n_info
     frames = info_bits = errors = 0
-
-    def _spans():
-        start = 0
-        while True:
-            yield start, bsz
-            start += bsz
-
-    spans = _spans()
-    results = []
+    starts = itertools.count(0, bsz)
 
     def _absorb(res):
         nonlocal frames, info_bits, errors
         nfo, err = res
-        frames_here = nfo // config.n_info
-        results.append((frames_here, nfo, err))
-        frames += frames_here
+        frames += nfo // n_info
         info_bits += nfo
         errors += err
         return errors >= config.target_bit_errors or frames >= config.max_frames
 
     if workers == 1:
         pipe = pipeline if pipeline is not None else _FramePipeline(config)
-        while True:
-            start, n = next(spans)
-            if _absorb(pipe.run_batch(snr_db, snr_index, start, n, noiseless)):
+        for start in starts:
+            if _absorb(pipe.run_batch(snr_db, snr_index, start, bsz, noiseless)):
                 break
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = False
             while not done:
-                futs = []
-                for _ in range(workers):
-                    start, n = next(spans)
-                    futs.append(pool.submit(_batch_worker, config, snr_db,
-                                            snr_index, start, n, noiseless))
+                futs = [pool.submit(_batch_worker, config, snr_db, snr_index,
+                                    next(starts), bsz, noiseless)
+                        for _ in range(workers)]
                 for fut in futs:            # in submission order
                     if done:
                         fut.result()        # completed speculatively; discard

@@ -12,14 +12,14 @@ import pytest
 from scipy import stats
 
 from bicmb_pc.analysis import empirical_slope, snr_at_ber, welch_satterthwaite
-from bicmb_pc.beamforming import noise_variance
 from bicmb_pc.channel_model import ArrayGeometry, assemble_channel, theta_samples
 from bicmb_pc.detector import MetricEngine, group_decompose
-from bicmb_pc.fec import DEFAULT_CODE, QamConstellation, free_distance
+from bicmb_pc.fec import QamConstellation, free_distance
 from bicmb_pc.pstbc import build_params, encode_batch
 from bicmb_pc.sim_engine import (
     SystemConfig,
     config_hash,
+    noise_variance,
     run_ber_point,
     run_sweep,
     write_csv,
@@ -133,7 +133,7 @@ def test_criterion_04_noiseless_loopback(dim, n_t, n_r):
 
 
 def test_criterion_05_free_distance():
-    d_free = free_distance(DEFAULT_CODE)
+    d_free = free_distance()
     assert d_free == 10
     print(f"criterion 05 PASS: free distance of (133,171) = {d_free}")
 

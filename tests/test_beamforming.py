@@ -1,17 +1,14 @@
+"""SVD beamforming reduces the link to diag(lam) Z + white noise.
+
+The simulator only ever runs that reduced model, so these checks build the
+full model from channel_model.channel_svd and compare.
+"""
 import numpy as np
 import pytest
 
-from bicmb_pc.beamforming import (
-    Beamformers,
-    cn_noise,
-    is_degenerate,
-    noise_variance,
-    svd_beamformers,
-    transmit,
-    transmit_full,
-)
-from bicmb_pc.channel_model import ArrayGeometry, assemble_channel
-from bicmb_pc.pstbc import build_params, encode
+from bicmb_pc.channel_model import ArrayGeometry, assemble_channel, channel_svd
+from bicmb_pc.pstbc import build_params, encode_batch
+from bicmb_pc.sim_engine import cn_noise, is_degenerate, noise_variance
 
 GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
 
@@ -24,16 +21,7 @@ def _channel(seed=5):
 def _codeword(d, seed=1):
     rng = np.random.default_rng(seed)
     x = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    return encode(build_params(d), x).z
-
-
-def test_svd_beamformers_shapes():
-    bf = svd_beamformers(_channel(), 2)
-    assert bf.lam.shape == (2,)
-    assert bf.f.shape == (32, 2)
-    assert bf.w.shape == (16, 2)
-    assert bf.n_streams == 2
-    assert not bf.lam.flags.writeable
+    return encode_batch(build_params(d), x)
 
 
 def test_noise_variance_convention():
@@ -46,54 +34,34 @@ def test_noise_variance_convention():
 
 def test_cn_noise_statistics():
     rng = np.random.default_rng(11)
-    x = cn_noise(rng, 200_000, 0.5)
+    x = cn_noise(rng, (200_000,), 0.5)
     assert np.mean(np.abs(x) ** 2) == pytest.approx(0.5, rel=0.02)
     assert np.mean(x).real == pytest.approx(0.0, abs=0.01)
     assert np.mean(x**2) == pytest.approx(0.0, abs=0.01)  # circular symmetry
     with pytest.raises(ValueError):
-        cn_noise(rng, 4, -1.0)
-
-
-def test_noiseless_reduced_model_is_diagonal_scaling():
-    bf = svd_beamformers(_channel(), 2)
-    z = _codeword(2)
-    y = transmit(np.random.default_rng(0), bf, z, n0=0.0)
-    assert np.allclose(y, bf.lam[:, None] * z, atol=1e-12)
+        cn_noise(rng, (4,), -1.0)
 
 
 def test_full_model_matches_reduced_model():
     h = _channel()
-    bf = svd_beamformers(h, 2)
+    lam, f, w = channel_svd(h, 2)
     z = _codeword(2, seed=3)
-    # noiseless: both models give exactly diag(lam) Z
-    y_full = transmit_full(np.random.default_rng(0), h, bf, z, n0=0.0)
-    assert np.allclose(y_full, bf.lam[:, None] * z, atol=1e-8)
-    # same injected noise image: identity holds exactly
-    rng = np.random.default_rng(42)
-    noise = cn_noise(rng, (h.shape[0], 2), 0.3)
-    lhs = bf.w.conj().T @ (h @ bf.f @ z + noise)
-    rhs = bf.lam[:, None] * z + bf.w.conj().T @ noise
+    # noiseless: W^H H F Z is exactly diag(lam) Z
+    assert np.allclose(w.conj().T @ h @ f @ z, lam[:, None] * z, atol=1e-8)
+    # same injected noise image: W^H (H F Z + N) = diag(lam) Z + W^H N
+    noise = cn_noise(np.random.default_rng(42), (h.shape[0], 2), 0.3)
+    lhs = w.conj().T @ (h @ f @ z + noise)
+    rhs = lam[:, None] * z + w.conj().T @ noise
     assert np.allclose(lhs, rhs, atol=1e-8)
 
 
 def test_combined_noise_stays_white():
     h = _channel(seed=9)
-    bf = svd_beamformers(h, 2)
-    rng = np.random.default_rng(13)
+    _, _, w = channel_svd(h, 2)
     n0 = 0.7
-    samples = np.stack([
-        bf.w.conj().T @ cn_noise(rng, (h.shape[0],), n0) for _ in range(20_000)
-    ])
+    samples = cn_noise(np.random.default_rng(13), (20_000, h.shape[0]), n0) @ w.conj()
     cov = samples.conj().T @ samples / samples.shape[0]
     assert np.allclose(cov, n0 * np.eye(2), atol=0.03)
-
-
-def test_transmit_validates_codeword_shape():
-    bf = svd_beamformers(_channel(), 2)
-    with pytest.raises(ValueError):
-        transmit(np.random.default_rng(0), bf, np.zeros((3, 3)), 0.1)
-    with pytest.raises(ValueError):
-        transmit_full(np.random.default_rng(0), _channel(), bf, np.zeros((3, 3)), 0.1)
 
 
 def test_degeneracy_flag():

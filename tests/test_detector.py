@@ -13,7 +13,7 @@ from bicmb_pc.detector import (
     sphere_metrics,
 )
 from bicmb_pc.fec import QamConstellation
-from bicmb_pc.pstbc import build_params, encode
+from bicmb_pc.pstbc import build_params, encode_batch
 from bicmb_pc.sim_engine import SystemConfig
 
 
@@ -55,7 +55,7 @@ def test_group_decompose_recovers_layers(d):
     params = build_params(d)
     c = QamConstellation(16)
     x = np.stack([random_symbols(rng, c, d)[0] for _ in range(d)])
-    z = encode(params, x).z
+    z = encode_batch(params, x)
     lam = random_lam(rng, d)
     groups = group_decompose(lam[:, None] * z, params)
     for v in range(d):
@@ -177,7 +177,7 @@ def test_noiseless_metrics_vanish_at_true_bits(d):
     labels = np.empty((d, d), dtype=int)
     for v in range(d):
         x[v], labels[v] = random_symbols(rng, c, d)
-    z = encode(params, x).z
+    z = encode_batch(params, x)
     groups = group_decompose(lam[:, None] * z, params)
     engine = MetricEngine(params, c, lam)
     out = engine.bit_metrics(groups)

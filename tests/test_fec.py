@@ -1,22 +1,26 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from bicmb_pc.fec import (
-    DEFAULT_CODE,
+    N_TAIL,
     Interleaver,
     QamConstellation,
     conv_encode,
-    deinterleave,
     free_distance,
-    interleave,
-    viterbi_decode,
     viterbi_decode_batch,
 )
 
 
 def _encode_frame(info_bits):
-    padded = np.concatenate([info_bits, np.zeros(6, dtype=np.uint8)])
+    padded = np.concatenate([info_bits, np.zeros(N_TAIL, dtype=np.uint8)])
     return conv_encode(padded)
+
+
+def _decode(metrics):
+    """One frame through the batch decoder."""
+    return viterbi_decode_batch(metrics[None])[0]
 
 
 def _hard_metrics(coded, flips=None, rng=None):
@@ -56,7 +60,7 @@ def test_encode_is_linear_over_gf2():
 
 
 def test_free_distance_is_ten():
-    assert free_distance(DEFAULT_CODE) == 10
+    assert free_distance() == 10
 
 
 def test_viterbi_recovers_clean_frames():
@@ -64,7 +68,7 @@ def test_viterbi_recovers_clean_frames():
     for _ in range(5):
         info = rng.integers(0, 2, 200).astype(np.uint8)
         coded = _encode_frame(info)
-        decoded = viterbi_decode(_hard_metrics(coded))
+        decoded = _decode(_hard_metrics(coded))
         assert np.array_equal(decoded, info)
 
 
@@ -74,14 +78,14 @@ def test_viterbi_corrects_sparse_errors():
     info = rng.integers(0, 2, 300).astype(np.uint8)
     coded = _encode_frame(info)
     flips = np.array([10, 150, 320, 500])
-    decoded = viterbi_decode(_hard_metrics(coded, flips=flips))
+    decoded = _decode(_hard_metrics(coded, flips=flips))
     assert np.array_equal(decoded, info)
 
 
 def test_viterbi_all_tied_metrics_is_deterministic_zero_path():
     m = np.zeros((120, 2))
-    d1 = viterbi_decode(m)
-    d2 = viterbi_decode(m)
+    d1 = _decode(m)
+    d2 = _decode(m)
     assert np.array_equal(d1, d2)
     assert not d1.any()
 
@@ -96,7 +100,7 @@ def test_viterbi_matches_exhaustive_search():
         metrics = rng.uniform(0.0, 1.0, size=(2 * (n_info + 6), 2))
         costs = metrics[np.arange(codebook.shape[1]), codebook].sum(axis=1)
         best = costs.min()
-        decoded = viterbi_decode(metrics)
+        decoded = _decode(metrics)
         achieved = metrics[np.arange(codebook.shape[1]), _encode_frame(decoded)].sum()
         assert achieved == pytest.approx(best, abs=1e-9)
 
@@ -106,24 +110,26 @@ def test_viterbi_batch_matches_single():
     metrics = rng.uniform(size=(6, 2 * 80, 2))
     batch = viterbi_decode_batch(metrics)
     for f in range(6):
-        assert np.array_equal(batch[f], viterbi_decode(metrics[f]))
+        assert np.array_equal(batch[f], _decode(metrics[f]))
 
 
 def test_viterbi_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        viterbi_decode(np.zeros((21, 2)))
+        viterbi_decode_batch(np.zeros((20, 2)))  # no frame axis
     with pytest.raises(ValueError):
-        viterbi_decode(np.zeros((10, 3)))
+        _decode(np.zeros((21, 2)))
     with pytest.raises(ValueError):
-        viterbi_decode(np.zeros((8, 2)))  # only tail, no info
+        _decode(np.zeros((10, 3)))
+    with pytest.raises(ValueError):
+        _decode(np.zeros((8, 2)))  # only tail, no info
 
 
 def test_interleaver_round_trip():
     ivl = Interleaver(512, seed=42)
     rng = np.random.default_rng(0)
     bits = rng.integers(0, 2, 512).astype(np.uint8)
-    assert np.array_equal(deinterleave(interleave(bits, ivl), ivl), bits)
-    assert np.array_equal(interleave(deinterleave(bits, ivl), ivl), bits)
+    assert np.array_equal(ivl.deinterleave(ivl.interleave(bits)), bits)
+    assert np.array_equal(ivl.interleave(ivl.deinterleave(bits)), bits)
 
 
 def test_interleaver_deterministic_and_seed_dependent():
@@ -204,6 +210,15 @@ def test_qam_map_bits_vectorized_matches_scalar():
     syms = c.map_bits(bits)
     for s in range(50):
         assert syms[s] == pytest.approx(c.qam_map(bits[4 * s : 4 * s + 4]))
+
+
+def test_grid_lists_label_vectors_last_fastest():
+    for order, n in ((4, 1), (4, 3), (16, 2)):
+        c = QamConstellation(order)
+        grid = c.grid(n)
+        assert grid.shape == (n, order ** n)
+        for col, labels in enumerate(itertools.product(range(order), repeat=n)):
+            assert np.array_equal(grid[:, col], c.points[list(labels)])
 
 
 def test_qpsk_supported():

@@ -40,26 +40,30 @@ def test_unsupported_dim():
 
 def test_encode_zero_inputs():
     p = pstbc.build_params(2)
-    cw = pstbc.encode(p, np.zeros((2, 2)))
-    assert np.all(cw.z == 0)
+    z = pstbc.encode_batch(p, np.zeros((2, 2)))
+    assert z.shape == (2, 2)
+    assert np.all(z == 0)
 
 
 def test_encode_single_vector_is_diagonal():
     p = pstbc.build_params(2)
     x1 = np.array([1 + 1j, -0.5 + 0.25j])
     inputs = np.vstack([x1, np.zeros(2)])
-    cw = pstbc.encode(p, inputs)
-    assert np.abs(cw.z - np.diag(p.generator @ x1)).max() < 1e-14
+    z = pstbc.encode_batch(p, inputs)
+    assert np.abs(z - np.diag(p.generator @ x1)).max() < 1e-14
 
 
 def test_encode_rejects_bad_shape_and_nonfinite():
     p = pstbc.build_params(3)
-    with pytest.raises(ValueError):
-        pstbc.encode(p, np.zeros((2, 2)))
-    bad = np.zeros((3, 3), dtype=complex)
-    bad[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        pstbc.encode(p, bad)
+    for shape in ((2, 2), (5, 2, 3), (3,)):
+        with pytest.raises(ValueError):
+            pstbc.encode_batch(p, np.zeros(shape))
+    bad = np.zeros((4, 3, 3), dtype=complex)
+    bad[2, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        pstbc.encode_batch(p, bad)
+    with pytest.raises(ValueError, match="finite"):
+        pstbc.encode_batch(p, bad[2])
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
@@ -69,7 +73,7 @@ def test_entry_layer_rule_matches_matrix_sum(d):
     p = pstbc.build_params(d)
     for _ in range(10):
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        z = pstbc.encode(p, x).z
+        z = pstbc.encode_batch(p, x)
         rotated = x @ p.generator.T
         for u in range(d):
             for c in range(d):
@@ -95,7 +99,7 @@ def test_energy_preservation(d):
     p = pstbc.build_params(d)
     for _ in range(50):
         x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        z = pstbc.encode(p, x).z
+        z = pstbc.encode_batch(p, x)
         assert abs(np.linalg.norm(z) ** 2 - np.linalg.norm(x) ** 2) < 1e-10
 
 
@@ -104,11 +108,11 @@ def test_perturbing_one_vector_touches_d_entries(d):
     rng = np.random.default_rng(3000 + d)
     p = pstbc.build_params(d)
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    z0 = pstbc.encode(p, x).z
+    z0 = pstbc.encode_batch(p, x)
     v = rng.integers(d)
     x2 = x.copy()
     x2[v] += rng.normal(size=d) + 1j * rng.normal(size=d)
-    z1 = pstbc.encode(p, x2).z
+    z1 = pstbc.encode_batch(p, x2)
     changed = np.abs(z1 - z0) > 1e-12
     assert changed.sum() == d
 
@@ -131,7 +135,7 @@ def test_layer_extraction_matches_omega_form(d):
     p = pstbc.build_params(d)
     lam = np.sort(rng.uniform(0.5, 3.0, size=d))[::-1]
     x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    lz = np.diag(lam) @ pstbc.encode(p, x).z
+    lz = np.diag(lam) @ pstbc.encode_batch(p, x)
     for v in range(1, d + 1):
         picked = np.array([lz[u, (u + v - 1) % d] for u in range(d)])
         expect = pstbc.omega_matrix(p, v) @ np.diag(lam) @ p.generator @ x[v - 1]
@@ -139,12 +143,16 @@ def test_layer_extraction_matches_omega_form(d):
 
 
 def test_encode_batch_matches_single():
+    # every block of a stack equals the literal sum_v diag(G x_v) E^(v-1)
     rng = np.random.default_rng(61)
     for d in (2, 3, 4):
         params = pstbc.build_params(d)
-        x = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        x = rng.standard_normal((2, 5, d, d)) + 1j * rng.standard_normal((2, 5, d, d))
         batch = pstbc.encode_batch(params, x)
-        for i in range(5):
-            assert np.allclose(batch[i], pstbc.encode(params, x[i]).z, atol=1e-14)
-    with pytest.raises(ValueError):
-        pstbc.encode_batch(pstbc.build_params(2), np.zeros((5, 2, 3)))
+        assert batch.shape == x.shape
+        for i, j in np.ndindex(2, 5):
+            literal = sum(np.diag(params.generator @ x[i, j, v])
+                          @ np.linalg.matrix_power(params.shift, v) for v in range(d))
+            assert np.allclose(batch[i, j], literal, atol=1e-14)
+            assert np.allclose(batch[i, j], pstbc.encode_batch(params, x[i, j]),
+                               atol=1e-14)

@@ -32,7 +32,8 @@ def test_effective_info_bits_per_dim():
 def test_frame_partitions_are_consistent():
     for cfg in (SystemConfig(dim=2), SystemConfig(dim=3), SMALL):
         assert cfg.n_coded == 2 * (cfg.n_info + 6)
-        assert cfg.n_coded % cfg.bits_per_symbol == 0
+        bps = QamConstellation(cfg.constellation_order).bits_per_symbol
+        assert cfg.n_coded % bps == 0
         assert cfg.n_symbols % cfg.dim ** 2 == 0
         assert cfg.n_codewords >= 1
 
@@ -113,6 +114,23 @@ def test_noiseless_loopback_is_error_free(dim):
     assert res.bit_errors == 0
     assert res.frames == 4
     assert res.ber == 0.0
+
+
+@pytest.mark.parametrize("dim,order,snr_db,counts", [
+    (2, 16, 21.0, (24, 6000, 150)),
+    (3, 16, 23.0, (32, 7872, 115)),
+    (2, 4, 16.0, (32, 8128, 102)),
+])
+def test_seed_zero_counts_are_pinned(dim, order, snr_db, counts):
+    """Exact (frames, info_bits, bit_errors) on seed 0.
+
+    Any change to bit generation, coding, mapping, channel draws, noise,
+    detection or decoding that moves a single bit shows up here.
+    """
+    cfg = SystemConfig(dim=dim, constellation_order=order, nominal_info_bits=256,
+                       batch_frames=8, max_frames=32, target_bit_errors=100)
+    res = run_ber_point(cfg, snr_db)
+    assert (res.frames, res.info_bits, res.bit_errors) == counts
 
 
 def test_noisy_point_reports_counts():
