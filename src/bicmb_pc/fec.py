@@ -4,6 +4,13 @@ The decoder works on per-coded-bit metric pairs (gamma(bit=0), gamma(bit=1))
 supplied by the detector, so any soft metric that is additive over coded
 bits can drive it.  Frames are closed with tail zeros, the survivor path is
 traced back from the all-zero state.
+
+The trellis runs as butterflies with frames on the innermost axis: states
+2j and 2j + 1 feed states j and 32 + j, so one step is one broadcast add,
+one compare and one minimum over (2, 2, 32, n_frames) candidates.  Branch
+metrics are built for a chunk of steps at a time from the 4 possible coded
+pairs, and each step's 64 survivor decisions per frame are packed into one
+uint64, which the traceback reads with shifts and masks.
 """
 from __future__ import annotations
 
@@ -17,11 +24,17 @@ K = 7
 GENERATORS = (0o133, 0o171)
 N_STATES = 1 << (K - 1)
 N_TAIL = K - 1      # zero bits that flush the register back to state 0
+_CHUNK = 8          # trellis steps whose branch metrics are built at once
 
 
 @lru_cache(maxsize=None)
 def _tables():
-    """next_state[s, b], out0[s, b], out1[s, b] plus predecessor gathers."""
+    """next_state[s, b], out0[s, b], out1[s, b] and the butterfly label table.
+
+    New state h*32 + j is reached from states 2j and 2j + 1 on input bit h
+    (the input enters the register's MSB).  lab[p, h, j] = 2*out0 + out1 is
+    the coded pair, as a 2-bit label, on the branch from 2j + p to h*32 + j.
+    """
     n = N_STATES
     states = np.arange(n, dtype=np.int64)
     nxt = np.zeros((n, 2), dtype=np.int64)
@@ -37,13 +50,11 @@ def _tables():
             for i in range(K):
                 par ^= (acc >> i) & 1
             out[:, b] = par
-    # predecessors: state t is reached from 2*(t % (n/2)) and that + 1,
-    # consuming input bit t >> (K - 2)
-    t = states
-    pred0 = 2 * (t & (n // 2 - 1))
-    pred1 = pred0 + 1
-    bsel = t >> (K - 2)
-    return nxt, out0, out1, pred0, pred1, bsel
+    pred = 2 * np.arange(n // 2) + np.arange(2)[:, None]       # pred[p, j]
+    lab = (2 * out0 + out1)[pred[:, None, :], np.arange(2)[:, None]]
+    for table in (nxt, out0, out1, lab):
+        table.setflags(write=False)
+    return nxt, out0, out1, lab
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -91,8 +102,9 @@ def viterbi_decode_batch(metrics: np.ndarray) -> np.ndarray:
     """Decode a batch of frames of per-coded-bit metric pairs.
 
     metrics: (n_frames, 2*T, 2) with metrics[f, k, v] the cost of coded bit
-    k taking value v.  Paths start and end in state 0; ties prefer the
-    lower predecessor state.  Returns (n_frames, T - N_TAIL) info bits.
+    k taking value v; +inf forbids a value, NaN and -inf are rejected.
+    Paths start and end in state 0; ties prefer the lower predecessor
+    state.  Returns (n_frames, T - N_TAIL) info bits.
     """
     m = np.asarray(metrics, dtype=float)
     if m.ndim != 3 or m.shape[2] != 2 or m.shape[1] % 2:
@@ -101,30 +113,44 @@ def viterbi_decode_batch(metrics: np.ndarray) -> np.ndarray:
     steps = twot // 2
     if steps <= N_TAIL:
         raise ValueError("frame shorter than the tail")
-    _, out0, out1, pred0, pred1, bsel = _tables()
-    n = N_STATES
+    if not (m > -np.inf).all():
+        raise ValueError("metrics must not be NaN or -inf")
+    lab = _tables()[3]
+    half = N_STATES // 2
 
-    pm = np.full((n_frames, n), np.inf)
-    pm[:, 0] = 0.0
-    choice = np.zeros((steps, n_frames, n), dtype=bool)
-    for t in range(steps):
-        m0 = m[:, 2 * t, :]
-        m1 = m[:, 2 * t + 1, :]
-        bm = m0[:, out0] + m1[:, out1]               # (n_frames, n, 2)
-        cand0 = pm[:, pred0] + bm[:, pred0, bsel]
-        cand1 = pm[:, pred1] + bm[:, pred1, bsel]
-        better1 = cand1 < cand0
-        choice[t] = better1
-        pm = np.where(better1, cand1, cand0)
+    # Frames innermost.  pm_pairs[p, 0, j] aliases pm[2j + p] (the two
+    # predecessors of states j and 32 + j), pm_next[h, j] aliases pm[32h + j].
+    pm = np.full((N_STATES, n_frames), np.inf)
+    pm[0] = 0.0
+    pm_pairs = pm.reshape(half, 2, n_frames).transpose(1, 0, 2)[:, None]
+    pm_next = pm.reshape(2, half, n_frames)
+    cand = np.empty((2, 2, half, n_frames))
+    cand0, cand1 = cand
+    choice = np.empty((_CHUNK, N_STATES, n_frames), dtype=bool)
+    choice_hj = choice.reshape(_CHUNK, 2, half, n_frames)
+    packed = np.empty((steps, n_frames), dtype="<u8")
+    for t0 in range(0, steps, _CHUNK):
+        n = min(_CHUNK, steps - t0)
+        # bm4[t, c, f] = m[f, 2t, c >> 1] + m[f, 2t + 1, c & 1]
+        first = m[:, 2 * t0:2 * (t0 + n):2].transpose(1, 2, 0)
+        second = m[:, 2 * t0 + 1:2 * (t0 + n):2].transpose(1, 2, 0)
+        bm4 = (first[:, :, None] + second[:, None, :]).reshape(n, 4, n_frames)
+        blk = bm4[:, lab]
+        for t in range(n):
+            np.add(pm_pairs, blk[t], out=cand)
+            np.less(cand1, cand0, out=choice_hj[t])
+            np.minimum(cand0, cand1, out=pm_next)
+        # bit s of packed[t, f] is the decision of state s
+        octets = np.packbits(choice[:n], axis=1, bitorder="little")
+        packed[t0:t0 + n] = octets.transpose(0, 2, 1).copy().view("<u8")[..., 0]
+        del blk     # free before the next chunk's gather
 
-    bits = np.zeros((n_frames, steps), dtype=np.uint8)
-    state = np.zeros(n_frames, dtype=np.int64)
-    rows = np.arange(n_frames)
+    bits = np.empty((steps, n_frames), dtype=np.uint8)
+    state = np.zeros(n_frames, dtype=np.uint64)
     for t in range(steps - 1, -1, -1):
-        bits[:, t] = (state >> (K - 2)).astype(np.uint8)
-        took1 = choice[t, rows, state]
-        state = np.where(took1, pred1[state], pred0[state])
-    return bits[:, : steps - N_TAIL]
+        bits[t] = state >> (K - 2)
+        state = ((state & (half - 1)) << 1) | ((packed[t] >> state) & 1)
+    return bits[: steps - N_TAIL].T.copy()
 
 
 class Interleaver:

@@ -20,6 +20,7 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,12 +30,13 @@ from .fec import N_TAIL, Interleaver, QamConstellation, conv_encode, viterbi_dec
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch
 
 _RESAMPLE_CAP = 1000
+_DEGENERATE_REL_TOL = 1e-12
 
 
-def is_degenerate(lam: np.ndarray, rel_tol: float = 1e-12) -> bool:
+def is_degenerate(lam: np.ndarray) -> bool:
     """True when the weakest stream is numerically dead."""
     lam = np.asarray(lam)
-    return bool(lam[-1] <= rel_tol * lam[0])
+    return bool(lam[-1] <= _DEGENERATE_REL_TOL * lam[0])
 
 
 def noise_variance(total_tx: int, snr_db: float) -> float:
@@ -114,10 +116,13 @@ class SystemConfig:
                              l_r=self.l_r, spacing=self.spacing)
 
     @property
+    def _bits_per_symbol(self) -> int:
+        return int(self.constellation_order).bit_length() - 1    # log2 of 4 or 16
+
+    @property
     def n_info(self) -> int:
         """Largest info length <= nominal filling whole codewords with tail."""
-        bps = QamConstellation(self.constellation_order).bits_per_symbol
-        step = bps * self.dim ** 2 // 2
+        step = self._bits_per_symbol * self.dim ** 2 // 2
         usable = (self.nominal_info_bits + N_TAIL) // step * step
         return usable - N_TAIL
 
@@ -127,8 +132,7 @@ class SystemConfig:
 
     @property
     def n_symbols(self) -> int:
-        bps = QamConstellation(self.constellation_order).bits_per_symbol
-        return self.n_coded // bps
+        return self.n_coded // self._bits_per_symbol
 
     @property
     def n_codewords(self) -> int:
@@ -228,9 +232,15 @@ class _FramePipeline:
         return n_frames * n_info, errors
 
 
+@lru_cache(maxsize=1)
+def _worker_pipeline(config: SystemConfig) -> _FramePipeline:
+    """The pipeline a pool worker process reuses for every batch of a config."""
+    return _FramePipeline(config)
+
+
 def _batch_worker(config: SystemConfig, snr_db: float, snr_index: int,
                   frame_start: int, n_frames: int, noiseless: bool):
-    pipe = _FramePipeline(config)
+    pipe = _worker_pipeline(config)
     return pipe.run_batch(snr_db, snr_index, frame_start, n_frames, noiseless)
 
 

@@ -1,15 +1,19 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bicmb_pc.fec import (
+    K,
+    N_STATES,
     N_TAIL,
     Interleaver,
     QamConstellation,
     conv_encode,
     free_distance,
     viterbi_decode_batch,
+    _tables,
 )
 
 
@@ -21,6 +25,45 @@ def _encode_frame(info_bits):
 def _decode(metrics):
     """One frame through the batch decoder."""
     return viterbi_decode_batch(metrics[None])[0]
+
+
+def reference_viterbi(metrics):
+    """Per-step decoder on a (frames, states) layout: the bit-identity oracle.
+
+    Gathers each state's two predecessors and branch metrics every step and
+    keeps the full (steps, frames, states) decision array for the traceback.
+    """
+    _, out0, out1, _ = _tables()
+    n = N_STATES
+    states = np.arange(n)
+    pred0 = 2 * (states & (n // 2 - 1))
+    pred1 = pred0 + 1
+    bsel = states >> (K - 2)
+    m = np.asarray(metrics, dtype=float)
+    n_frames, twot, _ = m.shape
+    steps = twot // 2
+
+    pm = np.full((n_frames, n), np.inf)
+    pm[:, 0] = 0.0
+    choice = np.zeros((steps, n_frames, n), dtype=bool)
+    for t in range(steps):
+        m0 = m[:, 2 * t, :]
+        m1 = m[:, 2 * t + 1, :]
+        bm = m0[:, out0] + m1[:, out1]               # (n_frames, n, 2)
+        cand0 = pm[:, pred0] + bm[:, pred0, bsel]
+        cand1 = pm[:, pred1] + bm[:, pred1, bsel]
+        better1 = cand1 < cand0
+        choice[t] = better1
+        pm = np.where(better1, cand1, cand0)
+
+    bits = np.zeros((n_frames, steps), dtype=np.uint8)
+    state = np.zeros(n_frames, dtype=np.int64)
+    rows = np.arange(n_frames)
+    for t in range(steps - 1, -1, -1):
+        bits[:, t] = (state >> (K - 2)).astype(np.uint8)
+        took1 = choice[t, rows, state]
+        state = np.where(took1, pred1[state], pred0[state])
+    return bits[:, : steps - N_TAIL]
 
 
 def _hard_metrics(coded, flips=None, rng=None):
@@ -111,6 +154,53 @@ def test_viterbi_batch_matches_single():
     batch = viterbi_decode_batch(metrics)
     for f in range(6):
         assert np.array_equal(batch[f], _decode(metrics[f]))
+
+
+@pytest.mark.parametrize("n_frames, steps, kind", [
+    (4, 80, "soft"),
+    (4, 80, "integer"),
+    (4, 80, "inf"),
+    (1, 43, "soft"),
+    (1, 43, "integer"),
+    (3, 43, "integer"),
+    (3, 43, "inf"),
+    (64, 1030, "soft"),
+])
+def test_viterbi_matches_reference(n_frames, steps, kind):
+    # 43 and 1030 steps are not whole multiples of the branch-metric chunk
+    rng = np.random.default_rng([17, n_frames, steps])
+    if kind == "integer":       # ties between survivors are frequent
+        m = rng.integers(0, 3, size=(n_frames, 2 * steps, 2)).astype(float)
+    else:
+        m = rng.uniform(size=(n_frames, 2 * steps, 2))
+    if kind == "inf":           # forbidden values, some bits with both forbidden
+        m[rng.uniform(size=m.shape) < 0.1] = np.inf
+    got = viterbi_decode_batch(m)
+    assert got.shape == (n_frames, steps - N_TAIL)
+    assert np.array_equal(got, reference_viterbi(m))
+
+
+def test_viterbi_rejects_nan_and_minus_inf():
+    for bad in (np.nan, -np.inf):
+        m = np.zeros((1, 40, 2))
+        m[0, 17, 1] = bad
+        with pytest.raises(ValueError, match="NaN or -inf"):
+            viterbi_decode_batch(m)
+    m = np.zeros((1, 40, 2))
+    m[0, 17, 1] = np.inf        # +inf is a legal forbidden-branch cost
+    assert not viterbi_decode_batch(m).any()
+
+
+def test_viterbi_memory_is_bounded():
+    m = np.random.default_rng(19).uniform(size=(64, 2048, 2))
+    viterbi_decode_batch(m[:1, :40])         # build the cached code tables
+    tracemalloc.start()
+    try:
+        viterbi_decode_batch(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
 
 
 def test_viterbi_rejects_bad_shapes():
