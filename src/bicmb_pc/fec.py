@@ -185,6 +185,13 @@ def _gray_to_binary(g: int) -> int:
     return b
 
 
+def bits_per_symbol(order: int) -> int:
+    """Bits carried by one symbol of a supported square QAM order (4 or 16)."""
+    if order not in (4, 16):
+        raise ValueError("supported orders: 4, 16")
+    return int(order).bit_length() - 1
+
+
 class QamConstellation:
     """Square Gray-labeled QAM with unit average energy.
 
@@ -194,10 +201,8 @@ class QamConstellation:
     """
 
     def __init__(self, order: int = 16):
-        if order not in (4, 16):
-            raise ValueError("supported orders: 4, 16")
+        self.bits_per_symbol = bits_per_symbol(order)
         self.order = order
-        self.bits_per_symbol = int(np.log2(order))
         side = self.bits_per_symbol // 2
         n_axis = 1 << side
         amps = 2 * np.arange(n_axis) - (n_axis - 1)      # -3,-1,1,3 or -1,1

@@ -20,13 +20,13 @@ import itertools
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from functools import lru_cache
 
 import numpy as np
 
 from .channel_model import ArrayGeometry, assemble_channel
 from .detector import MetricEngine, group_decompose
-from .fec import N_TAIL, Interleaver, QamConstellation, conv_encode, viterbi_decode_batch
+from .fec import (N_TAIL, Interleaver, QamConstellation, bits_per_symbol, conv_encode,
+                  viterbi_decode_batch)
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch
 
 _RESAMPLE_CAP = 1000
@@ -116,13 +116,9 @@ class SystemConfig:
                              l_r=self.l_r, spacing=self.spacing)
 
     @property
-    def _bits_per_symbol(self) -> int:
-        return int(self.constellation_order).bit_length() - 1    # log2 of 4 or 16
-
-    @property
     def n_info(self) -> int:
         """Largest info length <= nominal filling whole codewords with tail."""
-        step = self._bits_per_symbol * self.dim ** 2 // 2
+        step = bits_per_symbol(self.constellation_order) * self.dim ** 2 // 2
         usable = (self.nominal_info_bits + N_TAIL) // step * step
         return usable - N_TAIL
 
@@ -132,7 +128,7 @@ class SystemConfig:
 
     @property
     def n_symbols(self) -> int:
-        return self.n_coded // self._bits_per_symbol
+        return self.n_coded // bits_per_symbol(self.constellation_order)
 
     @property
     def n_codewords(self) -> int:
@@ -232,15 +228,9 @@ class _FramePipeline:
         return n_frames * n_info, errors
 
 
-@lru_cache(maxsize=1)
-def _worker_pipeline(config: SystemConfig) -> _FramePipeline:
-    """The pipeline a pool worker process reuses for every batch of a config."""
-    return _FramePipeline(config)
-
-
 def _batch_worker(config: SystemConfig, snr_db: float, snr_index: int,
                   frame_start: int, n_frames: int, noiseless: bool):
-    pipe = _worker_pipeline(config)
+    pipe = _FramePipeline(config)
     return pipe.run_batch(snr_db, snr_index, frame_start, n_frames, noiseless)
 
 

@@ -10,6 +10,7 @@ from bicmb_pc.fec import (
     N_TAIL,
     Interleaver,
     QamConstellation,
+    bits_per_symbol,
     conv_encode,
     free_distance,
     viterbi_decode_batch,
@@ -322,6 +323,10 @@ def test_qpsk_supported():
 def test_qam_rejects_unsupported_order():
     with pytest.raises(ValueError):
         QamConstellation(64)
+    assert (bits_per_symbol(4), bits_per_symbol(16)) == (2, 4)
+    for order in (2, 8, 64):
+        with pytest.raises(ValueError):
+            bits_per_symbol(order)
     c = QamConstellation(16)
     with pytest.raises(ValueError):
         c.qam_map([0, 1])

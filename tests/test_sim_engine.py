@@ -3,14 +3,10 @@ import pytest
 
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
-from bicmb_pc import sim_engine
 from bicmb_pc.pstbc import build_params
 from bicmb_pc.sim_engine import (
     PointResult,
     SystemConfig,
-    _batch_worker,
-    _FramePipeline,
-    _worker_pipeline,
     awgn_uncoded_ber,
     config_hash,
     read_csv,
@@ -31,19 +27,12 @@ def test_effective_info_bits_per_dim():
     qpsk = SystemConfig(dim=2, constellation_order=4)
     assert qpsk.n_info == 1022
     assert qpsk.n_symbols == qpsk.n_codewords * 4
-
-
-def test_frame_sizes_build_no_constellation(monkeypatch):
-    def refuse(order):
-        raise AssertionError("a frame size built a QamConstellation")
-
-    monkeypatch.setattr(sim_engine, "QamConstellation", refuse)
-    for dim, order in ((2, 4), (2, 16), (3, 16), (4, 4)):
+    # (dim, order) -> (n_info, n_symbols, n_codewords)
+    for (dim, order), sizes in {(2, 4): (1022, 1028, 257), (2, 16): (1018, 512, 128),
+                                (3, 4): (1020, 1026, 114), (3, 16): (1020, 513, 57),
+                                (4, 4): (1018, 1024, 64), (6, 16): (1002, 504, 14)}.items():
         cfg = SystemConfig(dim=dim, n_t=16, n_r=8, constellation_order=order)
-        bps = QamConstellation(order).bits_per_symbol
-        step = bps * dim ** 2 // 2
-        assert cfg.n_info == (cfg.nominal_info_bits + 6) // step * step - 6
-        assert cfg.n_symbols == cfg.n_coded // bps
+        assert (cfg.n_info, cfg.n_symbols, cfg.n_codewords) == sizes
 
 
 def test_frame_partitions_are_consistent():
@@ -173,20 +162,6 @@ def test_worker_count_does_not_change_results():
     parallel = run_ber_point(SMALL, snr_db=6.0, snr_index=0, workers=2)
     assert (serial.frames, serial.info_bits, serial.bit_errors) == \
         (parallel.frames, parallel.info_bits, parallel.bit_errors)
-
-
-def test_pool_worker_reuses_one_pipeline():
-    _worker_pipeline.cache_clear()
-    try:
-        first = _batch_worker(SMALL, 6.0, 0, 0, 8, False)
-        second = _batch_worker(SMALL, 6.0, 0, 8, 8, False)
-        info = _worker_pipeline.cache_info()
-    finally:
-        _worker_pipeline.cache_clear()
-    assert (info.misses, info.hits) == (1, 1)
-    pipe = _FramePipeline(SMALL)
-    assert first == pipe.run_batch(6.0, 0, 0, 8)
-    assert second == pipe.run_batch(6.0, 0, 8, 8)
 
 
 def test_stop_rules():
