@@ -4,6 +4,12 @@ Each transmit subarray j and receive subarray i sees its own sparse
 multipath block H_ij built from n_paths planar-wave components with
 uniform angles and CN(0,1) gains, scaled so E||H_ij||_F^2 = n_t * n_r.
 Large-scale gains beta[i, j] weight the blocks of the stacked channel.
+
+A channel is kept as its path factors, H = a_r diag(gain) a_t^H with one
+block-placed steering column per path, so rank(H) <= P = total paths.
+path_core reduces those factors to a P x P core with the same nonzero
+singular values and Frobenius norm as H; assemble_channel forms the dense
+H and serves only as a test oracle.
 """
 from __future__ import annotations
 
@@ -26,8 +32,8 @@ class ArrayGeometry:
         for name in ("n_t", "n_r", "l_t", "l_r"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if not 0 < self.spacing:
-            raise ValueError("spacing must be positive")
+        if not 0 < self.spacing < np.inf:
+            raise ValueError("spacing must be positive and finite")
 
     @property
     def total_tx(self) -> int:
@@ -60,23 +66,14 @@ def _draw_block(rng: np.random.Generator, n_paths: int):
     return aoa, aod, alpha
 
 
-def gen_subchannel(rng: np.random.Generator, geom: ArrayGeometry, n_paths: int) -> np.ndarray:
-    """One (n_r, n_t) block, no large-scale gain applied."""
-    if n_paths < 1:
-        raise ValueError("n_paths must be positive")
-    aoa, aod, alpha = _draw_block(rng, n_paths)
-    a_r = array_response(geom.n_r, aoa, geom.spacing)      # (L, n_r)
-    a_t = array_response(geom.n_t, aod, geom.spacing)      # (L, n_t)
-    scale = np.sqrt(geom.n_t * geom.n_r / n_paths)
-    return scale * np.einsum("l,lr,lt->rt", alpha, a_r, a_t.conj())
-
-
 def _check_beta(beta, geom: ArrayGeometry) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     if b.shape != (geom.l_r, geom.l_t):
         raise ValueError(f"beta must have shape ({geom.l_r}, {geom.l_t})")
-    if not np.isfinite(b).all() or (b < 0).any():
-        raise ValueError("beta entries must be finite and nonnegative")
+    if not np.isfinite(b).all():
+        raise ValueError("beta entries must be finite")
+    if (b < 0).any():
+        raise ValueError("beta entries must be nonnegative")
     return b
 
 
@@ -84,7 +81,7 @@ def _check_paths(n_paths, geom: ArrayGeometry) -> np.ndarray:
     """Scalar or per-block grid of path counts, as an int grid."""
     p = np.asarray(n_paths)
     if p.ndim == 0:
-        p = np.full((geom.l_r, geom.l_t), int(p))
+        p = np.full((geom.l_r, geom.l_t), p)
     if p.shape != (geom.l_r, geom.l_t):
         raise ValueError(f"n_paths must be scalar or shaped ({geom.l_r}, {geom.l_t})")
     if not np.issubdtype(p.dtype, np.integer) or (p < 1).any():
@@ -92,76 +89,60 @@ def _check_paths(n_paths, geom: ArrayGeometry) -> np.ndarray:
     return p.astype(int)
 
 
+def _place(resp: np.ndarray, block: np.ndarray, total: int) -> np.ndarray:
+    """(total, P) matrix with resp[p] in rows block[p]*n .. + n of column p."""
+    n_p, n = resp.shape
+    out = np.zeros((total, n_p), dtype=complex)
+    out[block[:, None] * n + np.arange(n), np.arange(n_p)[:, None]] = resp
+    return out
+
+
+def draw_paths(rng: np.random.Generator, geom: ArrayGeometry, beta, n_paths):
+    """Path factors (a_r, gain, a_t) of one stacked channel.
+
+    H = a_r diag(gain) a_t^H, with a_r (total_rx, P) and a_t (total_tx, P)
+    holding unit-norm steering columns placed in their subarray's rows and
+    gain[p] = sqrt(beta_ij n_t n_r / L_ij) alpha_p.  Blocks are drawn in
+    row-major order, AoA, AoD and gain per block.  n_paths may be a scalar
+    or an (l_r, l_t) grid of per-block counts.
+    """
+    b = _check_beta(beta, geom).ravel()
+    p = _check_paths(n_paths, geom).ravel()
+    aoa, aod, alpha = map(np.concatenate, zip(*(_draw_block(rng, n) for n in p)))
+    rows, cols = np.divmod(np.repeat(np.arange(p.size), p), geom.l_t)
+    gain = np.sqrt(np.repeat(b * (geom.n_t * geom.n_r) / p, p)) * alpha
+    a_r = _place(array_response(geom.n_r, aoa, geom.spacing), rows, geom.total_rx)
+    a_t = _place(array_response(geom.n_t, aod, geom.spacing), cols, geom.total_tx)
+    return a_r, gain, a_t
+
+
+def path_core(a_r: np.ndarray, gain: np.ndarray, a_t: np.ndarray) -> np.ndarray:
+    """R_r diag(gain) R_t^H from thin QRs of the steering factors.
+
+    Same nonzero singular values and Frobenius norm as a_r diag(gain) a_t^H,
+    at most P x P.  Leading axes are a stack of channels.
+    """
+    r_r = np.linalg.qr(a_r, mode="r")
+    r_t = np.linalg.qr(a_t, mode="r")
+    return (r_r * gain[..., None, :]) @ np.swapaxes(r_t, -1, -2).conj()
+
+
 def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,
                      n_paths) -> np.ndarray:
-    """Stacked (l_r*n_r, l_t*n_t) channel; blocks drawn in row-major order.
-
-    n_paths may be a scalar or an (l_r, l_t) grid of per-block counts.
-    """
-    b = _check_beta(beta, geom)
-    p = _check_paths(n_paths, geom)
-    h = np.zeros((geom.total_rx, geom.total_tx), dtype=complex)
-    for i in range(geom.l_r):
-        for j in range(geom.l_t):
-            block = gen_subchannel(rng, geom, p[i, j])
-            h[i * geom.n_r:(i + 1) * geom.n_r,
-              j * geom.n_t:(j + 1) * geom.n_t] = np.sqrt(b[i, j]) * block
-    return h
+    """Dense stacked (total_rx, total_tx) channel of draw_paths' factors."""
+    a_r, gain, a_t = draw_paths(rng, geom, beta, n_paths)
+    return (a_r * gain) @ a_t.conj().T
 
 
 def theta_samples(rng: np.random.Generator, geom: ArrayGeometry, beta,
                   n_paths, n_samples: int) -> np.ndarray:
     """Draws of the squared Frobenius norm sum_ij beta_ij ||H_ij||^2.
 
-    Uses the path-domain Gram identity instead of forming the blocks, so
-    large arrays cost O(L^2) per block.  Draw order matches
-    assemble_channel, so with a shared seed sample 0 equals the norm of
-    the assembled matrix.
+    Each is the squared norm of the path core, so large arrays cost no
+    more than small ones.  Draw order matches assemble_channel, so with a
+    shared seed sample 0 equals the norm of the assembled matrix.
     """
-    b = _check_beta(beta, geom)
-    p = _check_paths(n_paths, geom)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    out = np.empty(n_samples)
-    for s in range(n_samples):
-        total = 0.0
-        for i in range(geom.l_r):
-            for j in range(geom.l_t):
-                scale = geom.n_t * geom.n_r / p[i, j]
-                aoa, aod, alpha = _draw_block(rng, p[i, j])
-                a_r = array_response(geom.n_r, aoa, geom.spacing)
-                a_t = array_response(geom.n_t, aod, geom.spacing)
-                g_r = a_r.conj() @ a_r.T                   # g_r[l, m] = a_l^H a_m
-                g_t = a_t.conj() @ a_t.T
-                quad = np.einsum("l,m,lm,ml->", alpha.conj(), alpha, g_r, g_t)
-                total += b[i, j] * scale * quad.real
-        out[s] = total
-    return out
-
-
-def channel_svd(h: np.ndarray, d: int):
-    """Leading d singular triplets with a deterministic phase convention.
-
-    Returns (lam, f, w): lam nonincreasing, f the (total_tx, d) right and
-    w the (total_rx, d) left singular vectors, each pair rotated so the
-    first element of the right vector above 1e-12 in magnitude is real
-    positive.  Then w^H @ h @ f = diag(lam).
-    """
-    h = np.asarray(h)
-    if h.ndim != 2:
-        raise ValueError("h must be a matrix")
-    if not 1 <= d <= min(h.shape):
-        raise ValueError("d out of range")
-    u, s, vh = np.linalg.svd(h, full_matrices=False)
-    w = u[:, :d].copy()
-    f = vh[:d].conj().T.copy()
-    lam = s[:d].copy()
-    for k in range(d):
-        col = f[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size == 0:
-            continue
-        rot = np.abs(col[idx[0]]) / col[idx[0]]
-        f[:, k] = col * rot
-        w[:, k] = w[:, k] * rot
-    return lam, f, w
+    return np.array([np.linalg.norm(path_core(*draw_paths(rng, geom, beta, n_paths))) ** 2
+                     for _ in range(n_samples)])

@@ -9,8 +9,10 @@ once the bit-error or frame budget is reached.
 SVD beamforming reduces each channel H to the D strongest subchannels:
 W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
 because W has orthonormal columns, so frames are simulated in that reduced
-form.  Noise follows n0 = total_tx / snr.  A channel whose weakest used
-singular value is numerically zero is redrawn from the same frame stream.
+form.  The singular values come from each channel's P x P path core
+(channel_model.path_core), one batched SVD per batch; no dense H is built.
+Noise follows n0 = total_tx / snr.  A channel whose weakest used singular
+value is numerically zero is redrawn from the same frame stream.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel_model import ArrayGeometry, assemble_channel
+from .channel_model import ArrayGeometry, _check_beta, _check_paths, draw_paths, path_core
 from .detector import MetricEngine, group_decompose
 from .fec import (N_TAIL, Interleaver, QamConstellation, bits_per_symbol, conv_encode,
                   viterbi_decode_batch)
@@ -33,10 +35,10 @@ _RESAMPLE_CAP = 1000
 _DEGENERATE_REL_TOL = 1e-12
 
 
-def is_degenerate(lam: np.ndarray) -> bool:
-    """True when the weakest stream is numerically dead."""
+def is_degenerate(lam: np.ndarray):
+    """True where the weakest stream is numerically dead; lam rows may stack."""
     lam = np.asarray(lam)
-    return bool(lam[-1] <= _DEGENERATE_REL_TOL * lam[0])
+    return lam[..., -1] <= _DEGENERATE_REL_TOL * lam[..., 0]
 
 
 def noise_variance(total_tx: int, snr_db: float) -> float:
@@ -54,10 +56,8 @@ def cn_noise(rng: np.random.Generator, shape: tuple, n0: float) -> np.ndarray:
 
 
 def _grid(values) -> tuple:
-    rows = tuple(tuple(row) for row in np.asarray(values).tolist())
-    if not rows or not all(len(r) == len(rows[0]) for r in rows):
-        raise ValueError("grid rows must be nonempty and equal length")
-    return rows
+    """Hashable nested-tuple copy of a validated (l_r, l_t) grid."""
+    return tuple(map(tuple, np.asarray(values).tolist()))
 
 
 @dataclass(frozen=True)
@@ -80,30 +80,20 @@ class SystemConfig:
     target_bit_errors: int = 200
 
     def __post_init__(self):
-        object.__setattr__(self, "beta", _grid(self.beta))
-        paths = np.asarray(self.n_paths)
-        if paths.ndim == 0:
-            paths = np.full((self.l_r, self.l_t), int(paths))
-        object.__setattr__(self, "n_paths", _grid(paths))
         if self.dim not in SUPPORTED_DIMS:
             raise ValueError(f"dim must be one of {SUPPORTED_DIMS}")
-        geom = self.geometry  # validates antenna counts
+        geom = self.geometry  # validates antenna counts and spacing
         if self.dim > min(geom.total_tx, geom.total_rx):
             raise ValueError("dim exceeds the antenna dimensions")
-        b = np.asarray(self.beta, dtype=float)
-        p = np.asarray(self.n_paths)
-        if b.shape != (self.l_r, self.l_t) or p.shape != b.shape:
-            raise ValueError("beta and n_paths must be (l_r, l_t) grids")
-        if not np.isfinite(b).all():
-            raise ValueError("beta entries must be finite")
-        if (b < 0).any() or b.sum() == 0:
-            raise ValueError("beta must be nonnegative with a positive sum")
-        if (p < 1).any() or p.dtype.kind not in "iu":
-            raise ValueError("n_paths must be positive integers")
+        b = _check_beta(self.beta, geom)
+        p = _check_paths(self.n_paths, geom)
+        object.__setattr__(self, "beta", _grid(self.beta))
+        object.__setattr__(self, "n_paths", _grid(p))
+        if b.sum() == 0:
+            raise ValueError("beta must have a positive sum")
         if self.dim > int(p[b > 0].sum()):
             raise ValueError("channel rank cannot support this many streams")
-        if self.constellation_order not in (4, 16):
-            raise ValueError("constellation_order must be 4 or 16")
+        # n_info also rejects unsupported constellation orders (fec.bits_per_symbol)
         if self.n_info < 1:
             raise ValueError("nominal_info_bits too small for one codeword")
         for name in ("batch_frames", "max_frames", "target_bit_errors"):
@@ -199,11 +189,10 @@ class _FramePipeline:
         inter = coded[:, self.ivl.permutation]
         x = self.constellation.map_bits(inter).reshape(n_frames, n_codewords, d, d)
 
-        lam = np.empty((n_frames, d))
-        chans = [assemble_channel(r, self.geom, self.beta, self.paths) for r in rngs]
-        sv = np.linalg.svd(np.stack(chans), compute_uv=False)
-        for i in range(n_frames):
-            lam[i] = sv[i, :d]
+        factors = [draw_paths(r, self.geom, self.beta, self.paths) for r in rngs]
+        cores = path_core(*map(np.stack, zip(*factors)))
+        lam = np.linalg.svd(cores, compute_uv=False)[:, :d]
+        for i in np.flatnonzero(is_degenerate(lam)):
             tries = 0
             while is_degenerate(lam[i]):
                 tries += 1
@@ -211,8 +200,8 @@ class _FramePipeline:
                     raise ValueError(
                         f"channel rank starved: {_RESAMPLE_CAP} redraws gave fewer "
                         f"than {d} usable streams; check beta, n_paths and spacing")
-                h = assemble_channel(rngs[i], self.geom, self.beta, self.paths)
-                lam[i] = np.linalg.svd(h, compute_uv=False)[:d]
+                core = path_core(*draw_paths(rngs[i], self.geom, self.beta, self.paths))
+                lam[i] = np.linalg.svd(core, compute_uv=False)[:d]
 
         z = encode_batch(self.params, x)
         y = lam[:, None, :, None] * z

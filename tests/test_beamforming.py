@@ -1,12 +1,12 @@
 """SVD beamforming reduces the link to diag(lam) Z + white noise.
 
 The simulator only ever runs that reduced model, so these checks build the
-full model from channel_model.channel_svd and compare.
+full model from the dense channel's numpy SVD and compare.
 """
 import numpy as np
 import pytest
 
-from bicmb_pc.channel_model import ArrayGeometry, assemble_channel, channel_svd
+from bicmb_pc.channel_model import ArrayGeometry, assemble_channel
 from bicmb_pc.pstbc import build_params, encode_batch
 from bicmb_pc.sim_engine import cn_noise, is_degenerate, noise_variance
 
@@ -16,6 +16,12 @@ GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
 def _channel(seed=5):
     rng = np.random.default_rng(seed)
     return assemble_channel(rng, GEOM, 0.01 * np.ones((2, 2)), n_paths=2)
+
+
+def _beamformers(h, d):
+    """(lam, F, W): leading d singular values, right and left vectors."""
+    u, s, vh = np.linalg.svd(h)
+    return s[:d], vh[:d].conj().T, u[:, :d]
 
 
 def _codeword(d, seed=1):
@@ -44,7 +50,7 @@ def test_cn_noise_statistics():
 
 def test_full_model_matches_reduced_model():
     h = _channel()
-    lam, f, w = channel_svd(h, 2)
+    lam, f, w = _beamformers(h, 2)
     z = _codeword(2, seed=3)
     # noiseless: W^H H F Z is exactly diag(lam) Z
     assert np.allclose(w.conj().T @ h @ f @ z, lam[:, None] * z, atol=1e-8)
@@ -57,7 +63,7 @@ def test_full_model_matches_reduced_model():
 
 def test_combined_noise_stays_white():
     h = _channel(seed=9)
-    _, _, w = channel_svd(h, 2)
+    _, _, w = _beamformers(h, 2)
     n0 = 0.7
     samples = cn_noise(np.random.default_rng(13), (20_000, h.shape[0]), n0) @ w.conj()
     cov = samples.conj().T @ samples / samples.shape[0]

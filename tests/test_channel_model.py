@@ -5,12 +5,13 @@ from bicmb_pc.channel_model import (
     ArrayGeometry,
     array_response,
     assemble_channel,
-    channel_svd,
-    gen_subchannel,
+    draw_paths,
+    path_core,
     theta_samples,
 )
 
 GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
+ONE_BLOCK = ArrayGeometry(n_t=16, n_r=8, l_t=1, l_r=1)
 
 
 def test_geometry_validation():
@@ -18,6 +19,9 @@ def test_geometry_validation():
         ArrayGeometry(n_t=0, n_r=8, l_t=2, l_r=2)
     with pytest.raises(ValueError):
         ArrayGeometry(n_t=8, n_r=8, l_t=2, l_r=2, spacing=0.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="finite"):
+            ArrayGeometry(n_t=8, n_r=8, l_t=2, l_r=2, spacing=bad)
     assert GEOM.total_tx == 32
     assert GEOM.total_rx == 16
 
@@ -46,7 +50,7 @@ def test_array_response_vector_angles():
 
 def test_single_path_block_is_rank_one():
     rng = np.random.default_rng(2)
-    h = gen_subchannel(rng, GEOM, n_paths=1)
+    h = assemble_channel(rng, ONE_BLOCK, [[1.0]], n_paths=1)
     s = np.linalg.svd(h, compute_uv=False)
     assert s[1] < 1e-10 * s[0]
     assert h.shape == (8, 16)
@@ -55,8 +59,9 @@ def test_single_path_block_is_rank_one():
 def test_block_mean_energy():
     # E||H_ij||^2 = n_t * n_r regardless of path count
     rng = np.random.default_rng(7)
-    norms = [np.linalg.norm(gen_subchannel(rng, GEOM, 2)) ** 2 for _ in range(2000)]
-    assert np.mean(norms) / (GEOM.n_t * GEOM.n_r) == pytest.approx(1.0, rel=0.05)
+    norms = [np.linalg.norm(assemble_channel(rng, ONE_BLOCK, [[1.0]], 2)) ** 2
+             for _ in range(2000)]
+    assert np.mean(norms) / (ONE_BLOCK.n_t * ONE_BLOCK.n_r) == pytest.approx(1.0, rel=0.05)
 
 
 def test_assemble_respects_beta_zeros():
@@ -81,7 +86,7 @@ def test_assemble_validates_beta():
     with pytest.raises(ValueError):
         assemble_channel(rng, GEOM, -np.ones((2, 2)), 2)
     with pytest.raises(ValueError):
-        gen_subchannel(rng, GEOM, 0)
+        assemble_channel(rng, ONE_BLOCK, [[1.0]], 0)
 
 
 def test_theta_matches_assembled_norm():
@@ -101,40 +106,43 @@ def test_theta_mean():
     assert (th > 0).all()
 
 
+def _relative_gap(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("geom,beta,paths", [
+    (GEOM, 0.01 * np.ones((2, 2)), 2),
+    (ArrayGeometry(n_t=64, n_r=64, l_t=2, l_r=2), np.ones((2, 2)), 2),
+    (GEOM, np.ones((2, 2)), np.array([[6, 2], [3, 1]])),
+    (GEOM, np.array([[1.0, 0.0], [0.5, 2.0]]), 3),
+    (ArrayGeometry(n_t=8, n_r=2, l_t=2, l_r=2), np.ones((2, 2)), 3),  # P > total_rx
+])
+def test_path_core_matches_dense(geom, beta, paths):
+    factors = [draw_paths(np.random.default_rng(s), geom, beta, paths) for s in range(20)]
+    cores = path_core(*map(np.stack, zip(*factors)))             # one stacked call
+    for s, (a_r, gain, a_t) in enumerate(factors):
+        h = assemble_channel(np.random.default_rng(s), geom, beta, paths)
+        assert np.array_equal(h, (a_r * gain) @ a_t.conj().T)
+        core = path_core(a_r, gain, a_t)
+        assert core.shape[-2:] == (min(geom.total_rx, gain.size),
+                                   min(geom.total_tx, gain.size))
+        assert np.allclose(cores[s], core, rtol=0, atol=1e-12 * np.abs(core).max())
+        s_core = np.linalg.svd(core, compute_uv=False)
+        s_dense = np.linalg.svd(h, compute_uv=False)
+        assert _relative_gap(s_core, s_dense[:s_core.size]) < 1e-12
+        assert s_dense[s_core.size:].max(initial=0.0) < 1e-12 * s_dense[0]
+        assert _relative_gap(np.linalg.norm(core) ** 2, np.linalg.norm(h) ** 2) < 1e-12
+
+
 def test_svd_diagonalizes_channel():
-    rng = np.random.default_rng(31)
-    h = assemble_channel(rng, GEOM, 0.01 * np.ones((2, 2)), 2)
-    lam, f, w = channel_svd(h, d=4)
-    prod = w.conj().T @ h @ f
-    assert np.allclose(prod, np.diag(lam), atol=1e-10)
+    # the core's singular values are the stream gains W^H H F of the dense H
+    a_r, gain, a_t = draw_paths(np.random.default_rng(31), GEOM, 0.01 * np.ones((2, 2)), 2)
+    h = (a_r * gain) @ a_t.conj().T
+    lam = np.linalg.svd(path_core(a_r, gain, a_t), compute_uv=False)[:4]
+    u, _, vh = np.linalg.svd(h)
+    w, f = u[:, :4], vh[:4].conj().T
+    assert np.allclose(w.conj().T @ h @ f, np.diag(lam), atol=1e-10)
     assert (np.diff(lam) <= 1e-12).all()
-    assert np.allclose(f.conj().T @ f, np.eye(4), atol=1e-12)
-    assert np.allclose(w.conj().T @ w, np.eye(4), atol=1e-12)
-
-
-def test_svd_phase_convention():
-    rng = np.random.default_rng(37)
-    h = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
-    lam, f, w = channel_svd(h, d=3)
-    for k in range(3):
-        lead = f[np.abs(f[:, k]) > 1e-12, k][0]
-        assert lead.imag == pytest.approx(0.0, abs=1e-12)
-        assert lead.real > 0
-
-
-def test_svd_deterministic_and_validates():
-    rng = np.random.default_rng(41)
-    h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = channel_svd(h, 2)
-    b = channel_svd(h, 2)
-    for x, y in zip(a, b):
-        assert np.array_equal(x, y)
-    with pytest.raises(ValueError):
-        channel_svd(h, 0)
-    with pytest.raises(ValueError):
-        channel_svd(h, 5)
-    with pytest.raises(ValueError):
-        channel_svd(np.zeros(4), 1)
 
 
 def test_per_block_path_grids():

@@ -195,3 +195,14 @@ def test_analyze_rejects_non_finite_beta(tmp_path, capsys):
         err = capsys.readouterr().err
         assert rc == 1
         assert err == "error: beta entries must be finite\n"
+
+
+def test_sweep_rejects_non_finite_spacing(tmp_path, capsys):
+    path = tmp_path / "far.cfg"
+    path.write_text(BASE_CONFIG + "spacing = inf\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "10"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "error: spacing must be positive and finite\n"
+    assert not (tmp_path / "x.csv").exists()

@@ -56,8 +56,9 @@ def test_config_validation():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite"):
             SystemConfig(beta=((bad, 0.01), (0.01, 0.01)))
-    with pytest.raises(ValueError):
-        SystemConfig(n_paths=((2.5, 2), (2, 2)))
+    for bad in (((2.5, 2), (2, 2)), 2.5):
+        with pytest.raises(ValueError):
+            SystemConfig(n_paths=bad)
     with pytest.raises(ValueError):
         SystemConfig(constellation_order=64)
     with pytest.raises(ValueError):
