@@ -40,11 +40,15 @@ _GRID_FIELDS = {"beta", "n_paths"}
 
 def _parse_grid(text: str, as_int: bool):
     rows = []
-    for chunk in text.split(";"):
+    for i, chunk in enumerate(text.split(";"), 1):
         parts = chunk.split()
         if not parts:
-            raise ValueError("empty grid row")
+            raise ValueError(f"row {i} is empty")
         rows.append(tuple(int(p) if as_int else float(p) for p in parts))
+    width = max(map(len, rows))
+    for i, row in enumerate(rows, 1):
+        if len(row) < width:
+            raise ValueError(f"row {i} has {len(row)} entries, expected {width}")
     return tuple(rows)
 
 
@@ -63,7 +67,10 @@ def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
             elif key in _FLOAT_FIELDS:
                 values[key] = float(val)
             elif key in _GRID_FIELDS:
-                values[key] = _parse_grid(val, as_int=(key == "n_paths"))
+                try:
+                    values[key] = _parse_grid(val, as_int=(key == "n_paths"))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{ln}: {key} {exc}") from None
             else:
                 raise ValueError(f"{path}:{ln}: unknown key '{key}'")
     if seed_override is not None:
@@ -78,11 +85,17 @@ def _positive_int(text: str) -> int:
 
 
 def _snr_grid(args) -> np.ndarray:
+    for flag in ("snr_min", "snr_max", "snr_step"):
+        if not np.isfinite(getattr(args, flag)):
+            raise ValueError(f"--{flag.replace('_', '-')} must be finite")
     if args.snr_step <= 0:
         raise ValueError("--snr-step must be positive")
     if args.snr_max < args.snr_min:
         raise ValueError("--snr-max must be >= --snr-min")
-    n = int(round((args.snr_max - args.snr_min) / args.snr_step)) + 1
+    steps = (args.snr_max - args.snr_min) / args.snr_step
+    if not np.isfinite(steps):
+        raise ValueError("--snr-step is too small for the SNR range")
+    n = int(round(steps)) + 1
     grid = args.snr_min + args.snr_step * np.arange(n)
     return grid[grid <= args.snr_max + 1e-9]
 

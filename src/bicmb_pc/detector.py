@@ -14,8 +14,10 @@ r11^2 |t - x_1|^2, separable into I and Q terms.  The layered orthogonal
 lattice detector (LORD) thus enumerates only the K^(d-1) candidates for
 x_2..x_d and slices x_1 per axis, in chunks of a fixed number of (group,
 candidate) pairs so memory stays bounded for any batch.  Where K^(d-1)
-exceeds 4096 (d = 6 with 16-QAM), Schnorr-Euchner depth-first sphere
-searches give the same minima group by group.
+exceeds LORD_GRID_MAX (d = 6 with 16-QAM), the top layers are enumerated
+first and only prefixes within an achievable cost of their group are kept
+(the clipping radius of Studer & Bolcskei, JSAC 2008), so the same grid
+code finishes each surviving prefix and the minima stay exact.
 """
 from __future__ import annotations
 
@@ -50,10 +52,12 @@ def group_decompose(y: np.ndarray, params: PerfectCodeParams) -> np.ndarray:
     return weights.conj() * gathered
 
 
-# the sphere search runs where the LORD grid K^(d-1) exceeds this size
-SPHERE_ABOVE = 4096
+# LORD grid size K^(d-1) above which the top layers are peeled first
+LORD_GRID_MAX = 4096
 # (group, candidate) pairs per LORD chunk; bounds the detector's memory
 _CHUNK_PAIRS = 1 << 15
+# relative slack on the pruning radius, so rounding never drops a minimizer
+_SLACK = 1e-9
 
 
 def qr_reduce(m: np.ndarray):
@@ -77,8 +81,8 @@ class MetricEngine:
     """Exact per-group bit metrics for diag(lam) G models.
 
     lam is (d,) for one frame or (frames, d) for a batch; bit_metrics then
-    takes groups shaped (n, d) or (frames, n, d) to match.  LORD runs
-    unless K^(d-1) > SPHERE_ABOVE, where the sphere search does.
+    takes groups shaped (n, d) or (frames, n, d) to match.  Every (d, K)
+    goes through the one exact lord_metrics.
     """
 
     def __init__(self, params: PerfectCodeParams, constellation: QamConstellation,
@@ -106,19 +110,81 @@ class MetricEngine:
             raise ValueError(f"groups must be {frames + ('n', self.dim)}")
         r = self._r.reshape(-1, self.dim, self.dim)
         qobs = (g @ self._q_conj).reshape((len(r),) + g.shape[-2:])    # Q^H y per group
-        c = self.constellation
-        if c.order ** (self.dim - 1) > SPHERE_ABOVE:
-            gamma = np.stack([sphere_metrics(qf, rf, c) for qf, rf in zip(qobs, r)])
-        else:
-            gamma = lord_metrics(qobs, r, c)
+        gamma = lord_metrics(qobs, r, self.constellation)
         gamma = gamma.reshape(g.shape[:-1] + gamma.shape[-3:])
         return BitMetricSet(gamma=gamma, umin=gamma[..., 0, 0, :].min(axis=-1))
 
 
 def lord_metrics(qobs: np.ndarray, r: np.ndarray,
                  constellation: QamConstellation) -> np.ndarray:
-    """LORD subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma."""
+    """Exact subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma.
+
+    While K^(d-1) exceeds LORD_GRID_MAX one more top layer is peeled; the
+    peeled path runs frame by frame on chunks of groups.
+    """
     c = constellation
+    n_frames, n, d = qobs.shape
+    peel = 0
+    while c.order ** (d - 1 - peel) > LORD_GRID_MAX:
+        peel += 1
+    if not peel:
+        return _lord_grid(qobs, r, c)
+    gamma = np.empty((n_frames, n, d, c.bits_per_symbol, 2))
+    step = max(1, _CHUNK_PAIRS // c.order ** peel)
+    for f in range(n_frames):
+        for g0 in range(0, n, step):
+            gamma[f, g0:g0 + step] = _peeled(qobs[f, g0:g0 + step], r[f], peel, c)
+    return gamma
+
+
+def _achievable_bound(q: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarray:
+    """Per group of q (n, d), an achievable cost no subset minimum exceeds.
+
+    From the SIC (Babai) point, subset (m, j, b) is bounded by its best
+    single-symbol substitution at m; the bound is the max over (m, j, b).
+    """
+    d = q.shape[-1]
+    x = np.zeros(q.shape, dtype=complex)
+    for m in range(d - 1, -1, -1):
+        z = q[:, m] - x[:, m + 1:] @ r[m, m + 1:]
+        x[:, m] = c.points[np.abs(z[:, None] - r[m, m] * c.points).argmin(axis=-1)]
+    e = q - x @ r.T
+    delta = c.points - x[..., None]                   # (n, d, K): x_m -> label
+    cost = (np.abs(e[:, None, None] - delta[..., None] * r.T[:, None]) ** 2).sum(axis=-1)
+    return cost[..., c.subset_indices].min(axis=-1).max(axis=(1, 2, 3))
+
+
+def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.ndarray:
+    """Subset minima of one frame's groups q (n, d) with `peel` top layers peeled.
+
+    Prefixes x_(d-peel+1)..x_d whose partial cost tops the group's
+    achievable bound can hold no subset minimum and are dropped; the LORD
+    grid solves the rest, and minima fold back to groups by segment
+    reduction over the group-ordered survivors.
+    """
+    n, d = q.shape
+    bound = _achievable_bound(q, r, c)
+    budget = bound + _SLACK * (bound + (np.abs(q) ** 2).sum(axis=-1))
+    grp, off, sub = np.arange(n), np.zeros(n), q
+    labels = np.zeros((n, 0), dtype=np.int64)         # peeled labels, layer order
+    for level in range(d - 1, d - 1 - peel, -1):
+        cost = off[:, None] + np.abs(sub[:, level, None] - r[level, level] * c.points) ** 2
+        keep, lab = np.nonzero(cost <= budget[grp, None])
+        grp, off = grp[keep], cost[keep, lab]
+        labels = np.column_stack([lab, labels[keep]])
+        sub = sub[keep, :level] - c.points[lab, None] * r[:level, level]
+    top = d - peel
+    leaf = _lord_grid(sub[None], r[None, :top, :top], c)[0] + off[:, None, None, None]
+    bits = (labels[..., None] >> np.arange(c.bits_per_symbol - 1, -1, -1)) & 1
+    best = leaf[:, 0, 0].min(axis=-1)[:, None, None, None]
+    peeled = np.where(bits[..., None] == (0, 1), best, np.inf)
+    starts = np.searchsorted(grp, np.arange(n))
+    return np.concatenate([np.minimum.reduceat(leaf, starts),
+                           np.minimum.reduceat(peeled, starts)], axis=1)
+
+
+def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarray:
+    """LORD over the full K^(d-1) grid of x_2..x_d, per frame chunk."""
     n_frames, n, d = qobs.shape
     k, bps = c.order, c.bits_per_symbol
     rest = c.grid(d - 1)                # x_2..x_d candidates
@@ -160,81 +226,3 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray,
                     for b in (0, 1):
                         out[..., m, j, b] = table[..., c.subset_indices[j, b]].min(axis=-1)
     return gamma
-
-
-def sphere_metrics(qobs: np.ndarray, r: np.ndarray,
-                   constellation: QamConstellation) -> np.ndarray:
-    """Subset minima by Schnorr-Euchner searches: qobs (n, d), r (d, d) -> gamma.
-
-    One unconstrained search per group finds the best labels; each bit's
-    complement then gets its own search, seeded by the best single-symbol
-    substitution.
-    """
-    c = constellation
-    n, d = qobs.shape
-    bps = c.bits_per_symbol
-    diag_images = r.diagonal()[:, None] * c.points[None, :]
-    gamma = np.empty((n, d, bps, 2))
-    full = np.arange(c.order)
-    for g in range(n):
-        q = qobs[g]
-        best, labels = _search(q, r, diag_images, c.points, [full] * d, np.inf)
-        for m in range(d):
-            for j in range(bps):
-                hit = c.qam_bit_label(int(labels[m]), j)
-                gamma[g, m, j, hit] = best
-                subset = c.subset_indices[j, 1 - hit]
-                seed = _substitute_bound(q, r, c.points, labels, m, subset)
-                cands = [full] * d
-                cands[m] = subset
-                val, _ = _search(q, r, diag_images, c.points, cands, seed)
-                gamma[g, m, j, 1 - hit] = val
-    return gamma
-
-
-def _substitute_bound(q, r, points, labels, m, subset) -> float:
-    """Achievable cost: best single-symbol substitution at position m."""
-    x = points[labels.astype(int)]
-    best = np.inf
-    for lab in subset:
-        x[m] = points[lab]
-        cost = float((np.abs(q - r @ x) ** 2).sum())
-        best = min(best, cost)
-    return best
-
-
-def _search(q, r, diag_images, points, cand_labels, seed):
-    """Depth-first sphere search; returns (min cost, label assignment).
-
-    seed is an achievable upper bound (or inf); equal-cost paths are
-    pruned, so the returned labels are only valid when the result
-    improves on the seed.
-    """
-    d = r.shape[0]
-    best = float(seed)
-    best_labels = np.full(d, -1, dtype=np.int64)
-    cur = np.zeros(d, dtype=np.int64)
-    partial = np.zeros(d, dtype=complex)
-
-    def descend(level: int, acc: float):
-        nonlocal best
-        labs = cand_labels[level]
-        images = diag_images[level, labs]
-        costs = np.abs((q[level] - partial[level]) - images) ** 2
-        order = np.argsort(costs)
-        for t in order:
-            total = acc + costs[t]
-            if total >= best:
-                return
-            cur[level] = labs[t]
-            if level == 0:
-                best = total
-                best_labels[:] = cur
-            else:
-                delta = r[:level, level] * points[labs[t]]
-                partial[:level] += delta
-                descend(level - 1, total)
-                partial[:level] -= delta
-
-    descend(d - 1, 0.0)
-    return best, best_labels

@@ -223,15 +223,6 @@ class QamConstellation:
                 self.subset_indices[j, b] = labels[bitval == b]
         self.subset_indices.setflags(write=False)
 
-    def qam_map(self, bit_group: np.ndarray) -> complex:
-        bits = np.asarray(bit_group).ravel()
-        if bits.size != self.bits_per_symbol:
-            raise ValueError(f"need {self.bits_per_symbol} bits per symbol")
-        label = 0
-        for b in bits:
-            label = (label << 1) | int(b)
-        return complex(self.points[label])
-
     def qam_bit_label(self, symbol_index: int, j: int) -> int:
         if not 0 <= symbol_index < self.order:
             raise ValueError("symbol index out of range")
@@ -254,4 +245,4 @@ class QamConstellation:
 
         The last row's label varies fastest (row-major label order).
         """
-        return self.points[np.indices((self.order,) * n).reshape(n, -1)]
+        return self.points[np.indices((self.order,) * n).reshape(n, self.order ** n)]

@@ -12,8 +12,8 @@ entry (u, c) of Z belongs to layer v = ((c - u) mod D) + 1 and equals
 (G x_v)_u, times g when the diagonal wraps (c < u).
 
 encode_batch is the one encoder: it maps a single (D, D) block of input
-vectors or any stack (..., D, D) of them.  layer_of_entry and omega_matrix
-describe the layer placement the detector unwinds.
+vectors or any stack (..., D, D) of them.  omega_matrix describes the
+layer placement the detector unwinds.
 
 Generators: the Golden code for D = 2; for D = 3, 4, 6 the cyclotomic
 constructions over Q(omega, 2cos(2pi/7)), Q(i, 2cos(2pi/15)) and
@@ -140,17 +140,6 @@ def build_params(dim: int) -> PerfectCodeParams:
         arr.setflags(write=False)
     return PerfectCodeParams(dim=dim, g=g, generator=gen, shift=shift,
                              shift_powers=tuple(powers))
-
-
-def layer_of_entry(u: int, c: int, dim: int) -> tuple[int, complex | float]:
-    """Layer index v (1-based) and wrap weight for codeword entry (u, c), 0-based u, c.
-
-    Entry (u, c) of Z equals weight * (G x_v)_u with weight = g on wrapped
-    diagonals (c < u) and 1 otherwise.
-    """
-    v = (c - u) % dim + 1
-    weight = _G_UNIT[dim] if c < u else 1.0
-    return v, weight
 
 
 def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:

@@ -306,27 +306,3 @@ def read_csv(path):
                            info_bits=int(r["info_bits"]),
                            bit_errors=int(r["bit_errors"])) for r in rows]
     return stored, results
-
-
-def awgn_uncoded_ber(seed: int, snr_symbol_db: float, n_symbols: int,
-                     order: int = 16) -> float:
-    """Gray-labeled hard-decision QAM over scalar AWGN, for calibration."""
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be positive")
-    c = QamConstellation(order)
-    rng = np.random.default_rng([seed, 2])
-    bps = c.bits_per_symbol
-    bits = rng.integers(0, 2, n_symbols * bps).astype(np.uint8)
-    sent = c.map_bits(bits)
-    n0 = 10.0 ** (-snr_symbol_db / 10.0)
-    noise = np.sqrt(n0 / 2.0) * (rng.standard_normal(n_symbols)
-                                 + 1j * rng.standard_normal(n_symbols))
-    received = sent + noise
-    labels = np.empty(n_symbols, dtype=np.int64)
-    for lo in range(0, n_symbols, 262_144):
-        block = received[lo:lo + 262_144]
-        labels[lo:lo + block.size] = np.abs(
-            block[:, None] - c.points[None, :]).argmin(axis=1)
-    shifts = np.arange(bps - 1, -1, -1)
-    got = ((labels[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
-    return float((got != bits).mean())

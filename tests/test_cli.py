@@ -48,6 +48,21 @@ def test_load_config_uneven_grid(tmp_path):
     assert cfg.n_paths == ((6, 2), (3, 1))
 
 
+def test_ragged_grid_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "ragged.cfg"
+    path.write_text(BASE_CONFIG.replace("beta = 0.01 0.01; 0.01 0.01",
+                                        "beta = 0.01; 0.01 0.01"))
+    line = BASE_CONFIG.splitlines().index("beta = 0.01 0.01; 0.01 0.01") + 1
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}:{line}: beta row 1 has 1 entries, expected 2\n"
+    path.write_text(BASE_CONFIG + "n_paths = 2 2; ; 2 2\n")
+    with pytest.raises(ValueError, match=r"ragged.cfg:\d+: n_paths row 2 is empty"):
+        load_config(str(path))
+
+
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("frobnicate = 3\n")
@@ -87,6 +102,22 @@ def test_sweep_rejects_bad_grid(config_file, tmp_path):
                "--out", str(tmp_path / "x.csv"),
                "--snr-min", "5", "--snr-max", "4", "--snr-step", "1"])
     assert rc == 1
+
+
+def test_sweep_rejects_non_finite_snr_flags(config_file, tmp_path, capsys):
+    base = {"--snr-min": "4", "--snr-max": "8", "--snr-step": "1"}
+    for flag in base:
+        for bad in ("inf", "-inf", "nan"):
+            flags = [f"{k}={v}" for k, v in dict(base, **{flag: bad}).items()]
+            rc = main(["sweep", "--config", str(config_file),
+                       "--out", str(tmp_path / "x.csv"), *flags])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {flag} must be finite\n"
+    rc = main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+               "--snr-min=-1e308", "--snr-max=1e308"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --snr-step is too small for the SNR range\n"
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_analyze_reports_diversity(config_file, tmp_path, capsys):

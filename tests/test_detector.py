@@ -10,7 +10,6 @@ from bicmb_pc.detector import (
     group_columns,
     group_decompose,
     qr_reduce,
-    sphere_metrics,
 )
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch
@@ -32,6 +31,82 @@ def brute_metrics(y_group, m_mat, constellation):
                 b = constellation.qam_bit_label(combo[m], j)
                 gamma[m, j, b] = min(gamma[m, j, b], cost)
     return gamma, umin
+
+
+def sphere_metrics(qobs, r, constellation):
+    """Oracle subset minima by Schnorr-Euchner searches: qobs (n, d), r (d, d).
+
+    One unconstrained search per group finds the best labels; each bit's
+    complement then gets its own search, seeded by the best single-symbol
+    substitution.
+    """
+    c = constellation
+    n, d = qobs.shape
+    bps = c.bits_per_symbol
+    diag_images = r.diagonal()[:, None] * c.points[None, :]
+    gamma = np.empty((n, d, bps, 2))
+    full = np.arange(c.order)
+    for g in range(n):
+        q = qobs[g]
+        best, labels = _search(q, r, diag_images, c.points, [full] * d, np.inf)
+        for m in range(d):
+            for j in range(bps):
+                hit = c.qam_bit_label(int(labels[m]), j)
+                gamma[g, m, j, hit] = best
+                subset = c.subset_indices[j, 1 - hit]
+                x = c.points[labels]
+                seed = np.inf
+                for lab in subset:
+                    x[m] = c.points[lab]
+                    seed = min(seed, float((np.abs(q - r @ x) ** 2).sum()))
+                cands = [full] * d
+                cands[m] = subset
+                gamma[g, m, j, 1 - hit] = _search(q, r, diag_images, c.points,
+                                                  cands, seed)[0]
+    return gamma
+
+
+def _search(q, r, diag_images, points, cand_labels, seed):
+    """Depth-first sphere search; returns (min cost, label assignment).
+
+    seed is an achievable upper bound (or inf); equal-cost paths are
+    pruned, so the returned labels are only valid when the result
+    improves on the seed.
+    """
+    d = r.shape[0]
+    best = float(seed)
+    best_labels = np.full(d, -1, dtype=np.int64)
+    cur = np.zeros(d, dtype=np.int64)
+    partial = np.zeros(d, dtype=complex)
+
+    def descend(level, acc):
+        nonlocal best
+        labs = cand_labels[level]
+        costs = np.abs((q[level] - partial[level]) - diag_images[level, labs]) ** 2
+        for t in np.argsort(costs):
+            total = acc + costs[t]
+            if total >= best:
+                return
+            cur[level] = labs[t]
+            if level == 0:
+                best = total
+                best_labels[:] = cur
+            else:
+                delta = r[:level, level] * points[labs[t]]
+                partial[:level] += delta
+                descend(level - 1, total)
+                partial[:level] -= delta
+
+    descend(d - 1, 0.0)
+    return best, best_labels
+
+
+def noisy_groups(rng, params, c, lam, n, sigma):
+    """n observations lam * G x + noise of one frame, shape (n, d)."""
+    d = params.dim
+    x = c.points[rng.integers(0, c.order, (n, d))]
+    noise = sigma * (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    return x @ (lam[:, None] * params.generator).T + noise
 
 
 def random_lam(rng, d):
@@ -132,21 +207,56 @@ def test_sphere_matches_exhaustive(order, d):
     assert np.allclose(sphere[:, 0, 0, :].min(axis=1), lord.umin, atol=1e-9)
 
 
-def test_sphere_search_only_above_lord_grid_limit(monkeypatch):
+@pytest.mark.parametrize("order,d", [(16, 3), (4, 4)])
+@pytest.mark.parametrize("limit", [16, 4])
+def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
+    """With the grid limit lowered, peeling one or two layers stays exact."""
+    monkeypatch.setattr(detector, "LORD_GRID_MAX", limit)
+    rng = np.random.default_rng(300 + 10 * d + limit)
+    params = build_params(d)
+    c = QamConstellation(order)
+    lam = np.stack([random_lam(rng, d), random_lam(rng, d)])
+    lam[1, -1] = 0.0                       # a zero singular value leaves a layer flat
+    groups = np.stack([noisy_groups(rng, params, c, lam[f], 4, s)
+                       for f, s in enumerate((0.3, 1.0))])
+    got = MetricEngine(params, c, lam).bit_metrics(groups)
+    for f in range(2):
+        for g in range(4):
+            ref_gamma, ref_umin = brute_metrics(groups[f, g],
+                                                lam[f][:, None] * params.generator, c)
+            assert np.allclose(got.gamma[f, g], ref_gamma, atol=1e-10)
+            assert got.umin[f, g] == pytest.approx(ref_umin, abs=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.3])
+def test_peeled_d6_16qam_matches_sphere_oracle(sigma):
+    rng = np.random.default_rng(600 + int(100 * sigma))
+    params = build_params(6)
+    c = QamConstellation(16)
+    lam = random_lam(rng, 6)
+    groups = noisy_groups(rng, params, c, lam, 2, sigma)
+    got = MetricEngine(params, c, lam).bit_metrics(groups)
+    q, r = qr_reduce(lam[:, None] * params.generator)
+    oracle = sphere_metrics(groups @ q.conj(), r, c)
+    assert np.allclose(got.gamma, oracle, atol=1e-10)
+
+
+def test_peeling_only_above_lord_grid_limit(monkeypatch):
     calls = []
+    peeled = detector._peeled
 
-    def spy(qobs, r, constellation):
-        calls.append(qobs.shape)
-        return np.zeros(qobs.shape + (constellation.bits_per_symbol, 2))
+    def spy(q, r, peel, c):
+        calls.append((q.shape, peel))
+        return peeled(q, r, peel, c)
 
-    monkeypatch.setattr(detector, "sphere_metrics", spy)
+    monkeypatch.setattr(detector, "_peeled", spy)
     for d, order in ((4, 16), (6, 4)):           # K^(d-1) = 4096, 1024
         MetricEngine(build_params(d), QamConstellation(order),
                      np.ones(d)).bit_metrics(np.zeros((2, d)))
     assert calls == []
     MetricEngine(build_params(6), QamConstellation(16),
                  np.ones((3, 6))).bit_metrics(np.zeros((3, 2, 6)))
-    assert calls == [(2, 6)] * 3
+    assert calls == [((2, 6), 2)] * 3            # 16^5 > 4096 >= 16^3
 
 
 def test_detector_memory_is_bounded():
@@ -158,6 +268,23 @@ def test_detector_memory_is_bounded():
     groups = rng.standard_normal((32, n_groups, 3)) \
         + 1j * rng.standard_normal((32, n_groups, 3))
     engine = MetricEngine(build_params(3), QamConstellation(16), lam)
+    tracemalloc.start()
+    try:
+        engine.bit_metrics(groups)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+
+
+def test_peeled_detector_memory_is_bounded():
+    """A multi-frame D=6 16-QAM call (peeled path) stays within the same ceiling."""
+    rng = np.random.default_rng(10)
+    params = build_params(6)
+    c = QamConstellation(16)
+    lam = np.stack([random_lam(rng, 6) for _ in range(2)])
+    groups = np.stack([noisy_groups(rng, params, c, row, 3, 0.2) for row in lam])
+    engine = MetricEngine(params, c, lam)
     tracemalloc.start()
     try:
         engine.bit_metrics(groups)

@@ -263,23 +263,31 @@ def test_qam16_gray_neighbors_differ_in_one_bit():
                 assert bin(a ^ b).count("1") == 1
 
 
+def qam_map(c, bit_group):
+    """Scalar reference mapping of one symbol's bits (MSB first) to a point."""
+    label = 0
+    for b in np.asarray(bit_group).ravel():
+        label = (label << 1) | int(b)
+    return complex(c.points[label])
+
+
 def test_qam16_axis_levels():
     c = QamConstellation(16)
     # first two bits set I, Gray order 00,01,11,10 over -3,-1,+1,+3
     s = np.sqrt(10.0)
-    assert c.qam_map([0, 0, 0, 0]).real * s == pytest.approx(-3)
-    assert c.qam_map([0, 1, 0, 0]).real * s == pytest.approx(-1)
-    assert c.qam_map([1, 1, 0, 0]).real * s == pytest.approx(+1)
-    assert c.qam_map([1, 0, 0, 0]).real * s == pytest.approx(+3)
-    assert c.qam_map([0, 0, 1, 0]).imag * s == pytest.approx(+3)
-    assert c.qam_map([0, 0, 1, 1]).imag * s == pytest.approx(+1)
+    assert qam_map(c, [0, 0, 0, 0]).real * s == pytest.approx(-3)
+    assert qam_map(c, [0, 1, 0, 0]).real * s == pytest.approx(-1)
+    assert qam_map(c, [1, 1, 0, 0]).real * s == pytest.approx(+1)
+    assert qam_map(c, [1, 0, 0, 0]).real * s == pytest.approx(+3)
+    assert qam_map(c, [0, 0, 1, 0]).imag * s == pytest.approx(+3)
+    assert qam_map(c, [0, 0, 1, 1]).imag * s == pytest.approx(+1)
 
 
 def test_qam_bit_label_round_trip():
     c = QamConstellation(16)
     for label in range(16):
         bits = [c.qam_bit_label(label, j) for j in range(4)]
-        assert c.qam_map(bits) == pytest.approx(c.points[label])
+        assert qam_map(c, bits) == pytest.approx(c.points[label])
 
 
 def test_qam_subsets_partition_labels():
@@ -300,11 +308,11 @@ def test_qam_map_bits_vectorized_matches_scalar():
     bits = rng.integers(0, 2, 4 * 50)
     syms = c.map_bits(bits)
     for s in range(50):
-        assert syms[s] == pytest.approx(c.qam_map(bits[4 * s : 4 * s + 4]))
+        assert syms[s] == pytest.approx(qam_map(c, bits[4 * s : 4 * s + 4]))
 
 
 def test_grid_lists_label_vectors_last_fastest():
-    for order, n in ((4, 1), (4, 3), (16, 2)):
+    for order, n in ((4, 0), (4, 1), (4, 3), (16, 2)):
         c = QamConstellation(order)
         grid = c.grid(n)
         assert grid.shape == (n, order ** n)
@@ -316,8 +324,8 @@ def test_qpsk_supported():
     c = QamConstellation(4)
     assert c.bits_per_symbol == 2
     assert np.mean(np.abs(c.points) ** 2) == pytest.approx(1.0, abs=1e-12)
-    assert c.qam_map([0, 0]) == pytest.approx((-1 - 1j) / np.sqrt(2))
-    assert c.qam_map([1, 1]) == pytest.approx((1 + 1j) / np.sqrt(2))
+    assert qam_map(c, [0, 0]) == pytest.approx((-1 - 1j) / np.sqrt(2))
+    assert qam_map(c, [1, 1]) == pytest.approx((1 + 1j) / np.sqrt(2))
 
 
 def test_qam_rejects_unsupported_order():
@@ -328,8 +336,6 @@ def test_qam_rejects_unsupported_order():
         with pytest.raises(ValueError):
             bits_per_symbol(order)
     c = QamConstellation(16)
-    with pytest.raises(ValueError):
-        c.qam_map([0, 1])
     with pytest.raises(ValueError):
         c.qam_bit_label(16, 0)
     with pytest.raises(ValueError):

@@ -7,6 +7,15 @@ from bicmb_pc import pstbc
 ALL_DIMS = pstbc.SUPPORTED_DIMS
 
 
+def layer_of_entry(u, c, params):
+    """Layer v (1-based) and wrap weight of codeword entry (u, c), 0-based.
+
+    Entry (u, c) of Z equals weight * (G x_v)_u with weight = g on wrapped
+    diagonals (c < u) and 1 otherwise.
+    """
+    return (c - u) % params.dim + 1, params.g if c < u else 1.0
+
+
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_generator_unitary(d):
     p = pstbc.build_params(d)
@@ -77,16 +86,17 @@ def test_entry_layer_rule_matches_matrix_sum(d):
         rotated = x @ p.generator.T
         for u in range(d):
             for c in range(d):
-                v, w = pstbc.layer_of_entry(u, c, d)
+                v, w = layer_of_entry(u, c, p)
                 assert abs(z[u, c] - w * rotated[v - 1, u]) < 1e-12
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_each_entry_in_exactly_one_layer(d):
+    p = pstbc.build_params(d)
     seen = {}
     for u in range(d):
         for c in range(d):
-            v, _ = pstbc.layer_of_entry(u, c, d)
+            v, _ = layer_of_entry(u, c, p)
             seen.setdefault(v, []).append((u, c))
     assert sorted(seen) == list(range(1, d + 1))
     for v, cells in seen.items():

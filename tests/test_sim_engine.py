@@ -7,7 +7,6 @@ from bicmb_pc.pstbc import build_params
 from bicmb_pc.sim_engine import (
     PointResult,
     SystemConfig,
-    awgn_uncoded_ber,
     config_hash,
     read_csv,
     run_ber_point,
@@ -196,6 +195,25 @@ def test_sweep_and_csv_round_trip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
     with pytest.raises(ValueError):
         run_sweep(SMALL, [])
+
+
+def awgn_uncoded_ber(seed, snr_symbol_db, n_symbols, order=16):
+    """Gray-labeled hard-decision QAM over scalar AWGN, for calibration."""
+    c = QamConstellation(order)
+    rng = np.random.default_rng([seed, 2])
+    bps = c.bits_per_symbol
+    bits = rng.integers(0, 2, n_symbols * bps).astype(np.uint8)
+    n0 = 10.0 ** (-snr_symbol_db / 10.0)
+    noise = np.sqrt(n0 / 2.0) * (rng.standard_normal(n_symbols)
+                                 + 1j * rng.standard_normal(n_symbols))
+    received = c.map_bits(bits) + noise
+    labels = np.empty(n_symbols, dtype=np.int64)
+    for lo in range(0, n_symbols, 262_144):
+        block = received[lo:lo + 262_144]
+        labels[lo:lo + block.size] = np.abs(block[:, None] - c.points).argmin(axis=1)
+    shifts = np.arange(bps - 1, -1, -1)
+    got = ((labels[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    return float((got != bits).mean())
 
 
 def test_awgn_calibration_quick():
