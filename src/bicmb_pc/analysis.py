@@ -4,12 +4,15 @@ The channel power Theta = sum_ij beta_ij ||H_ij||_F^2 is a weighted sum of
 per-block Gamma variables; matching its first two moments gives the
 Gamma(kappa, theta) surrogate whose shape kappa is the diversity order.
 When beta and the path counts are integers or Fractions the moment match
-is carried out in exact rational arithmetic.
+is carried out in exact rational arithmetic.  zeta_min, the smallest
+per-row distance of the rotated code lattice, is computed exactly for
+every (D, K); with kappa and theta it sets the high-SNR pairwise error
+bound that `bicmb-pc analyze` prints next to each measured BER point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from numbers import Integral
 
 import numpy as np
@@ -61,44 +64,55 @@ def welch_satterthwaite(beta, n_paths):
     return kappa, theta
 
 
-def zeta_min(params: PerfectCodeParams, constellation: QamConstellation,
-             n_samples: int = 200_000, seed: int = 0) -> float:
+def _sum_set(terms) -> np.ndarray:
+    """Every sum of one entry from each 1-d array in terms, flattened."""
+    total = np.zeros(1, dtype=complex)
+    for t in terms:
+        total = (total[:, None] + t[None, :]).ravel()
+    return total
+
+
+def zeta_min(params: PerfectCodeParams, constellation: QamConstellation) -> float:
     """Smallest per-row squared projection distance of the rotated lattice.
 
-    min over rows u and distinct symbol vectors x, x' of |g_u (x - x')|^2.
-    Exact when the candidate grid is small (K^d <= 4096), a sampled
-    estimate otherwise.
+    min over rows u and nonzero differences delta of |g_u . delta|^2, exact
+    for every (D, K).  Each delta_m lies on the square difference grid
+    h * {a + ib : |a|, |b| <= top} of the constellation's axis levels, h
+    their spacing.  Per row the largest entry g_up is the pivot: for every
+    choice of the other D - 1 differences the best delta_p is sliced per
+    axis by rounding and clipping (the LORD step of Siti & Fitz, ICC 2006).
+    delta -> i delta keeps the grid and |g_u . delta|, so only choices whose
+    last nonzero entry has re > 0, im >= 0 are enumerated, in chunks.
     """
-    k = constellation.order
-    d = params.dim
-    g = params.generator
-    if k ** d <= 4096:
-        proj = g @ constellation.grid(d)        # (d, K^d)
-        best = np.inf
-        n = proj.shape[1]
-        chunk = 512
-        zero_pairs = 0
-        for lo in range(0, n, chunk):
-            block = proj[:, lo:lo + chunk]
-            diffs = np.abs(proj[:, :, None] - block[:, None, :]) ** 2
-            nz = diffs > 1e-14
-            zero_pairs += int((~nz).sum())
-            if nz.any():
-                best = min(best, float(diffs[nz].min()))
-        # only self-pairs may coincide: the generator rows have irrational
-        # entry ratios, so distinct lattice points never collide per row
-        if zero_pairs != d * n:
-            raise RuntimeError("zeta_min: distinct lattice points coincide in a row")
-        return best
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, k, (n_samples, d))
-    b = rng.integers(0, k, (n_samples, d))
-    differ = (a != b).any(axis=1)
-    a, b = a[differ], b[differ]
-    delta = constellation.points[a] - constellation.points[b]
-    proj = np.abs(delta @ g.T) ** 2
-    proj = proj[proj > 1e-14]
-    return float(proj.min())
+    chunk = 1 << 17
+    top = isqrt(constellation.order) - 1
+    axis = np.arange(-top, top + 1)
+    diffs = (axis[:, None] + 1j * axis[None, :]).ravel()
+    quadrant = diffs[(diffs.real > 0) & (diffs.imag >= 0)]
+    best = np.inf
+    for row in params.generator:
+        p = int(np.argmax(np.abs(row)))
+        w = -np.delete(row, p) / row[p]         # ideal delta_p = w . other deltas
+        least = 1.0                             # other deltas all zero: |delta_p| >= h
+        for last in range(len(w)):
+            terms = [w[m] * diffs for m in range(last)] + [w[last] * quadrant]
+            n_in, size = 0, 1
+            while n_in < len(terms) and size * terms[n_in].size <= chunk:
+                size *= terms[n_in].size
+                n_in += 1
+            inner, outer = _sum_set(terms[:n_in]), _sum_set(terms[n_in:])
+            step = max(1, chunk // inner.size)
+            for lo in range(0, outer.size, step):
+                ideal = (outer[lo:lo + step, None] + inner[None, :]).ravel()
+                rx = ideal.real - np.clip(np.rint(ideal.real), -top, top)
+                ry = ideal.imag - np.clip(np.rint(ideal.imag), -top, top)
+                least = min(least, float((rx * rx + ry * ry).min()))
+        best = min(best, (2.0 / constellation.scale * abs(row[p])) ** 2 * least)
+    # the generator rows have irrational entry ratios, so distinct lattice
+    # points never collide per row
+    if best <= 1e-14:
+        raise RuntimeError("zeta_min: distinct lattice points coincide in a row")
+    return float(best)
 
 
 def pep_bound(snr_db, kappa, theta, zeta, dim: int, total_tx: int, l_t: int):
@@ -118,8 +132,8 @@ def empirical_slope(snr_db, ber) -> float:
     if s.shape != b.shape or s.ndim != 1:
         raise ValueError("snr_db and ber must be matching 1-d arrays")
     keep = b > 0
-    if keep.sum() < 2:
-        raise ValueError("need at least two positive BER points")
+    if np.unique(s[keep]).size < 2:
+        raise ValueError("need positive BER at two or more distinct SNRs")
     x = s[keep] / 10.0
     slope = np.polyfit(x, np.log10(b[keep]), 1)[0]
     return float(-slope)
@@ -137,26 +151,3 @@ def snr_at_ber(snr_db, ber, target: float) -> float:
             t = (np.log10(target) - np.log10(b0)) / (np.log10(b1) - np.log10(b0))
             return float(s[i] + t * (s[i + 1] - s[i]))
     raise ValueError("BER curve does not cross the target on the grid")
-
-
-@dataclass(frozen=True)
-class DiversityReport:
-    kappa: float
-    theta: float
-    zeta: float
-    dim: int
-    total_tx: int
-    l_t: int
-
-    def pep(self, snr_db):
-        return pep_bound(snr_db, self.kappa, self.theta, self.zeta,
-                         self.dim, self.total_tx, self.l_t)
-
-
-def diversity_report(beta, n_paths, params: PerfectCodeParams,
-                     constellation: QamConstellation, total_tx: int,
-                     l_t: int) -> DiversityReport:
-    kappa, theta = welch_satterthwaite(beta, n_paths)
-    return DiversityReport(kappa=float(kappa), theta=float(theta),
-                           zeta=zeta_min(params, constellation),
-                           dim=params.dim, total_tx=total_tx, l_t=l_t)

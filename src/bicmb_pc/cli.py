@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .analysis import empirical_slope, welch_satterthwaite, zeta_min
+from .analysis import empirical_slope, pep_bound, welch_satterthwaite, zeta_min
 from .detector import MetricEngine, group_decompose
 from .fec import (N_TAIL, Interleaver, QamConstellation, conv_encode, free_distance,
                   viterbi_decode_batch)
@@ -133,13 +133,17 @@ def _cmd_analyze(args) -> int:
     print(f"zeta_min:                {zeta:.6g}")
     snr = np.array([r.snr_db for r in results])
     ber = np.array([r.ber for r in results])
-    usable = ber > 0
-    if usable.sum() >= 2:
-        slope = empirical_slope(snr[usable], ber[usable])
+    bound = pep_bound(snr, kappa, theta, zeta, config.dim,
+                      config.geometry.total_tx, config.l_t)
+    for r, pep in zip(results, bound):
+        print(f"snr {r.snr_db:6.2f} dB  ber {r.ber:.4e}  pep bound {pep:.4e}")
+    try:
+        slope = empirical_slope(snr, ber)
+    except ValueError as exc:
+        print(f"empirical slope:         {exc}")
+    else:
         print(f"empirical slope:         {slope:.3f} (per 10 dB)")
         print(f"slope / kappa:           {slope / float(kappa):.3f}")
-    else:
-        print("empirical slope:         not enough positive BER points")
     return 0
 
 
@@ -188,10 +192,11 @@ def _selftest_checks(params_by_dim, verbose=True):
     x = c.points[labels]
     z = encode_batch(params, x)
     groups = group_decompose(lam[:, None] * z, params)
-    out = MetricEngine(params, c, lam).bit_metrics(groups)
-    hit = all(out.gamma[v, m, j, c.qam_bit_label(int(labels[v, m]), j)] < 1e-12
+    gamma = MetricEngine(params, c, lam).bit_metrics(groups)
+    hit = all(gamma[v, m, j, c.qam_bit_label(int(labels[v, m]), j)] < 1e-12
               for v in range(2) for m in range(2) for j in range(4))
-    check("noiseless group metrics vanish", hit and np.allclose(out.umin, 0, atol=1e-12))
+    umin = gamma[:, 0, 0, :].min(axis=-1)
+    check("noiseless group metrics vanish", hit and np.allclose(umin, 0, atol=1e-12))
 
     cfg = SystemConfig(nominal_info_bits=128, batch_frames=2, max_frames=2,
                        target_bit_errors=1)

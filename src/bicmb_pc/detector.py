@@ -21,8 +21,6 @@ code finishes each surviving prefix and the minima stay exact.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .fec import QamConstellation
@@ -69,14 +67,6 @@ def qr_reduce(m: np.ndarray):
     return q * rot.conj()[..., None, :], r * rot[..., :, None]
 
 
-@dataclass
-class BitMetricSet:
-    """gamma[..., g, m, j, b]: min residual for group g, symbol m, bit j = b."""
-
-    gamma: np.ndarray
-    umin: np.ndarray
-
-
 class MetricEngine:
     """Exact per-group bit metrics for diag(lam) G models.
 
@@ -101,8 +91,12 @@ class MetricEngine:
         self._q_conj = q.conj()
         self._r = r
 
-    def bit_metrics(self, groups: np.ndarray) -> BitMetricSet:
-        """groups: (n, d) or (frames, n, d) weight-corrected observations."""
+    def bit_metrics(self, groups: np.ndarray) -> np.ndarray:
+        """groups: (n, d) or (frames, n, d) weight-corrected observations.
+
+        Returns gamma[..., g, m, j, b], the min residual for group g with
+        bit j of symbol m equal to b.
+        """
         g = np.asarray(groups)
         frames = self.lam.shape[:-1]
         if g.ndim != len(frames) + 2 or g.shape[:len(frames)] != frames \
@@ -111,8 +105,7 @@ class MetricEngine:
         r = self._r.reshape(-1, self.dim, self.dim)
         qobs = (g @ self._q_conj).reshape((len(r),) + g.shape[-2:])    # Q^H y per group
         gamma = lord_metrics(qobs, r, self.constellation)
-        gamma = gamma.reshape(g.shape[:-1] + gamma.shape[-3:])
-        return BitMetricSet(gamma=gamma, umin=gamma[..., 0, 0, :].min(axis=-1))
+        return gamma.reshape(g.shape[:-1] + gamma.shape[-3:])
 
 
 def lord_metrics(qobs: np.ndarray, r: np.ndarray,

@@ -210,7 +210,7 @@ class _FramePipeline:
         groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
 
         engine = MetricEngine(self.params, self.constellation, lam)
-        gamma = engine.bit_metrics(groups).gamma
+        gamma = engine.bit_metrics(groups)
         pairs = gamma[:, self.group_idx, self.pos_idx, self.bit_j, :]
         decoded = viterbi_decode_batch(pairs[:, self.deint_rows, :])
         errors = int((decoded != info).sum())
@@ -302,7 +302,23 @@ def read_csv(path):
         if missing:
             raise ValueError(f"{path}: missing CSV columns {', '.join(missing)}")
         rows = list(reader)
-    results = [PointResult(snr_db=float(r["snr_db"]), frames=int(r["frames"]),
-                           info_bits=int(r["info_bits"]),
-                           bit_errors=int(r["bit_errors"])) for r in rows]
+    results = []
+    for i, row in enumerate(rows, 1):
+        try:
+            results.append(_parse_row(row))
+        except ValueError as exc:
+            raise ValueError(f"{path}: data row {i}: {exc}") from None
     return stored, results
+
+
+def _parse_row(row) -> PointResult:
+    res = PointResult(snr_db=float(row["snr_db"]), frames=int(row["frames"]),
+                      info_bits=int(row["info_bits"]), bit_errors=int(row["bit_errors"]))
+    if not np.isfinite(res.snr_db):
+        raise ValueError("snr_db must be finite")
+    for name in ("frames", "info_bits", "bit_errors"):
+        if getattr(res, name) < 0:
+            raise ValueError(f"{name} must be nonnegative")
+    if res.bit_errors > res.info_bits:
+        raise ValueError("bit_errors exceeds info_bits")
+    return res

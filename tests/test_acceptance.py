@@ -104,8 +104,9 @@ def test_criterion_03_detector_oracle_equivalence():
 
         dists = (np.abs(y[None] - lam[None, :, None] * z_all) ** 2).sum(axis=(1, 2))
         engine = MetricEngine(params, const, lam)
-        got = engine.bit_metrics(group_decompose(y, params))
-        other = got.umin.sum() - got.umin
+        gamma = engine.bit_metrics(group_decompose(y, params))
+        umin = gamma[:, 0, 0, :].min(axis=-1)
+        other = umin.sum() - umin
         for v in range(d):
             col = labels[:, v * d:(v + 1) * d]
             for m in range(d):
@@ -114,7 +115,7 @@ def test_criterion_03_detector_oracle_equivalence():
                 for j in range(bps):
                     for b in (0, 1):
                         brute = per_label[const.subset_indices[j, b]].min()
-                        recon = got.gamma[v, m, j, b] + other[v]
+                        recon = gamma[v, m, j, b] + other[v]
                         worst = max(worst, abs(brute - recon))
     assert worst < 1e-10
     print(f"criterion 03 PASS: group+QR vs full enumeration over 16^4 codewords, "

@@ -1,12 +1,11 @@
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bicmb_pc.analysis import (
-    DiversityReport,
-    diversity_report,
     empirical_slope,
     pep_bound,
     snr_at_ber,
@@ -69,6 +68,25 @@ def test_welch_satterthwaite_validation():
         welch_satterthwaite([[1, 1]], [[0, 1]])
 
 
+def pairwise_zeta_min(params, constellation):
+    """Reference zeta_min: every pair of grid points, every row."""
+    d = params.dim
+    proj = params.generator @ constellation.grid(d)        # (d, K^d)
+    best = np.inf
+    n = proj.shape[1]
+    chunk = 512
+    zero_pairs = 0
+    for lo in range(0, n, chunk):
+        block = proj[:, lo:lo + chunk]
+        diffs = np.abs(proj[:, :, None] - block[:, None, :]) ** 2
+        nz = diffs > 1e-14
+        zero_pairs += int((~nz).sum())
+        if nz.any():
+            best = min(best, float(diffs[nz].min()))
+    assert zero_pairs == d * n          # only self-pairs coincide
+    return best
+
+
 def test_zeta_min_qpsk_matches_direct_enumeration():
     params = build_params(2)
     c = QamConstellation(4)
@@ -85,6 +103,29 @@ def test_zeta_min_qpsk_matches_direct_enumeration():
     assert ref > 1e-3
 
 
+@pytest.mark.parametrize("d,order", [(2, 4), (2, 16), (3, 4), (3, 16), (4, 4), (6, 4)])
+def test_zeta_min_matches_pairwise_oracle(d, order):
+    params = build_params(d)
+    c = QamConstellation(order)
+    assert zeta_min(params, c) == pytest.approx(pairwise_zeta_min(params, c), rel=1e-9)
+
+
+def test_zeta_min_pinned_d4_16qam():
+    assert zeta_min(build_params(4), QamConstellation(16)) == \
+        pytest.approx(1.4320011886e-06, rel=1e-6)
+
+
+def test_zeta_min_d6_16qam_exact_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        z = zeta_min(build_params(6), QamConstellation(16))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert z == pytest.approx(1.4204444891e-10, rel=1e-6)
+    assert peak < 64e6
+
+
 def test_zeta_min_16qam_positive_and_deterministic():
     params = build_params(2)
     c = QamConstellation(16)
@@ -96,19 +137,10 @@ def test_zeta_min_16qam_positive_and_deterministic():
 
 def test_zeta_min_rejects_colliding_lattice_rows():
     # an identity generator maps distinct symbol vectors onto the same row
-    # value, which the exact branch must report even under python -O
+    # value, which must be reported even under python -O
     params = dataclasses.replace(build_params(2), generator=np.eye(2))
     with pytest.raises(RuntimeError, match="coincide"):
         zeta_min(params, QamConstellation(4))
-
-
-def test_zeta_min_sampled_upper_bounds_exact():
-    params = build_params(3)
-    c = QamConstellation(16)
-    exact = zeta_min(params, c)           # 4096-point grid, exact path
-    sampled = zeta_min(params, c, n_samples=50_000, seed=1)
-    assert sampled >= exact - 1e-12
-    assert sampled < 10 * exact + 1.0
 
 
 def test_pep_bound_slope_is_kappa():
@@ -134,6 +166,11 @@ def test_empirical_slope_ignores_zero_points():
         empirical_slope(np.array([10.0, 20.0]), np.array([0.0, 0.0]))
 
 
+def test_empirical_slope_needs_two_distinct_snrs():
+    with pytest.raises(ValueError, match="distinct"):
+        empirical_slope(np.array([10.0, 10.0, 20.0]), np.array([1e-2, 2e-2, 0.0]))
+
+
 def test_snr_at_ber_interpolates():
     snr_db = np.array([10.0, 12.0, 14.0])
     ber = np.array([1e-2, 1e-3, 1e-4])
@@ -141,12 +178,3 @@ def test_snr_at_ber_interpolates():
     assert snr_at_ber(snr_db, ber, 10 ** -3.5) == pytest.approx(13.0)
     with pytest.raises(ValueError):
         snr_at_ber(snr_db, ber, 1e-9)
-
-
-def test_diversity_report_assembly():
-    params = build_params(2)
-    rep = diversity_report([[1, 1], [1, 1]], 2, params, QamConstellation(16),
-                           total_tx=32, l_t=2)
-    assert isinstance(rep, DiversityReport)
-    assert rep.kappa == pytest.approx(8.0)
-    assert rep.pep(40.0) < rep.pep(30.0)

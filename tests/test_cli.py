@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from bicmb_pc.analysis import pep_bound, zeta_min
 from bicmb_pc.cli import load_config, main
+from bicmb_pc.fec import QamConstellation
+from bicmb_pc.pstbc import build_params
 from bicmb_pc.sim_engine import SystemConfig, config_hash, read_csv
 
 BASE_CONFIG = """
@@ -131,6 +134,17 @@ def test_analyze_reports_diversity(config_file, tmp_path, capsys):
     text = capsys.readouterr().out
     assert "kappa (diversity order): 8" in text
     assert "zeta_min" in text
+    cfg = load_config(str(config_file))
+    _, rows = read_csv(out)
+    expected = pep_bound([r.snr_db for r in rows], 8, 0.005,
+                         zeta_min(build_params(2), QamConstellation(16)),
+                         2, cfg.geometry.total_tx, cfg.l_t)
+    lines = [ln for ln in text.splitlines() if "pep bound" in ln]
+    assert len(lines) == len(rows) == 3
+    for line, r, bound in zip(lines, rows, expected):
+        assert f"snr {r.snr_db:6.2f} dB" in line
+        assert f"ber {r.ber:.4e}" in line
+        assert float(line.split("pep bound")[1]) == pytest.approx(bound, rel=1e-4)
 
 
 def test_analyze_refuses_hash_mismatch(config_file, tmp_path, capsys):
@@ -215,6 +229,31 @@ def test_analyze_rejects_garbage_csv(config_file, tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert "snr_db" in err
+
+
+@pytest.mark.parametrize("row,problem", [
+    ("nan,4,100,3", "snr_db must be finite"),
+    ("inf,4,100,3", "snr_db must be finite"),
+    ("5.0,-4,100,3", "frames must be nonnegative"),
+    ("5.0,4,-100,3", "info_bits must be nonnegative"),
+    ("5.0,4,100,-3", "bit_errors must be nonnegative"),
+    ("5.0,4,100,500", "bit_errors exceeds info_bits"),
+])
+def test_analyze_rejects_bad_csv_row(config_file, tmp_path, capsys, row, problem):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"snr_db,frames,info_bits,bit_errors\n4.0,4,100,10\n{row}\n")
+    rc = main(["analyze", str(path), "--config", str(config_file), "--force"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}: data row 2: {problem}\n"
+
+
+def test_analyze_single_snr_has_no_slope(config_file, tmp_path, capsys):
+    path = tmp_path / "dup.csv"
+    path.write_text("snr_db,frames,info_bits,bit_errors\n4.0,4,100,10\n4.0,4,100,12\n")
+    rc = main(["analyze", str(path), "--config", str(config_file), "--force"])
+    assert rc == 0
+    assert "empirical slope:         need positive BER at two or more distinct SNRs" \
+        in capsys.readouterr().out
 
 
 def test_analyze_rejects_non_finite_beta(tmp_path, capsys):
