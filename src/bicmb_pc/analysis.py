@@ -137,17 +137,3 @@ def empirical_slope(snr_db, ber) -> float:
     x = s[keep] / 10.0
     slope = np.polyfit(x, np.log10(b[keep]), 1)[0]
     return float(-slope)
-
-
-def snr_at_ber(snr_db, ber, target: float) -> float:
-    """SNR where log-interpolated BER first crosses the target (descending)."""
-    s = np.asarray(snr_db, dtype=float)
-    b = np.asarray(ber, dtype=float)
-    if target <= 0:
-        raise ValueError("target must be positive")
-    for i in range(len(s) - 1):
-        b0, b1 = b[i], b[i + 1]
-        if b0 >= target > b1 and b1 > 0:
-            t = (np.log10(target) - np.log10(b0)) / (np.log10(b1) - np.log10(b0))
-            return float(s[i] + t * (s[i + 1] - s[i]))
-    raise ValueError("BER curve does not cross the target on the grid")

@@ -8,8 +8,7 @@ Large-scale gains beta[i, j] weight the blocks of the stacked channel.
 A channel is kept as its path factors, H = a_r diag(gain) a_t^H with one
 block-placed steering column per path, so rank(H) <= P = total paths.
 path_core reduces those factors to a P x P core with the same nonzero
-singular values and Frobenius norm as H; assemble_channel forms the dense
-H and serves only as a test oracle.
+singular values and Frobenius norm as H, so the dense H is never formed.
 """
 from __future__ import annotations
 
@@ -125,24 +124,3 @@ def path_core(a_r: np.ndarray, gain: np.ndarray, a_t: np.ndarray) -> np.ndarray:
     r_r = np.linalg.qr(a_r, mode="r")
     r_t = np.linalg.qr(a_t, mode="r")
     return (r_r * gain[..., None, :]) @ np.swapaxes(r_t, -1, -2).conj()
-
-
-def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,
-                     n_paths) -> np.ndarray:
-    """Dense stacked (total_rx, total_tx) channel of draw_paths' factors."""
-    a_r, gain, a_t = draw_paths(rng, geom, beta, n_paths)
-    return (a_r * gain) @ a_t.conj().T
-
-
-def theta_samples(rng: np.random.Generator, geom: ArrayGeometry, beta,
-                  n_paths, n_samples: int) -> np.ndarray:
-    """Draws of the squared Frobenius norm sum_ij beta_ij ||H_ij||^2.
-
-    Each is the squared norm of the path core, so large arrays cost no
-    more than small ones.  Draw order matches assemble_channel, so with a
-    shared seed sample 0 equals the norm of the assembled matrix.
-    """
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    return np.array([np.linalg.norm(path_core(*draw_paths(rng, geom, beta, n_paths))) ** 2
-                     for _ in range(n_samples)])

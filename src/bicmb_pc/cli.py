@@ -18,10 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import empirical_slope, pep_bound, welch_satterthwaite, zeta_min
-from .detector import MetricEngine, group_decompose
+from .detector import MetricEngine
 from .fec import (N_TAIL, Interleaver, QamConstellation, conv_encode, free_distance,
                   viterbi_decode_batch)
-from .pstbc import SUPPORTED_DIMS, build_params, encode_batch
+from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 from .sim_engine import (
     SystemConfig,
     config_hash,
@@ -52,8 +52,19 @@ def _parse_grid(text: str, as_int: bool):
     return tuple(rows)
 
 
+def _parse_value(key: str, text: str):
+    if key in _GRID_FIELDS:
+        return _parse_grid(text, as_int=(key == "n_paths"))
+    kind = int if key in _INT_FIELDS else float
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"must be {'an integer' if kind is int else 'a number'}, "
+                         f"got '{text}'") from None
+
+
 def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
-    values = {}
+    values, set_on = {}, {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -62,17 +73,15 @@ def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
             if "=" not in line:
                 raise ValueError(f"{path}:{ln}: expected key = value")
             key, val = (s.strip() for s in line.split("=", 1))
-            if key in _INT_FIELDS:
-                values[key] = int(val)
-            elif key in _FLOAT_FIELDS:
-                values[key] = float(val)
-            elif key in _GRID_FIELDS:
-                try:
-                    values[key] = _parse_grid(val, as_int=(key == "n_paths"))
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{ln}: {key} {exc}") from None
-            else:
+            if key not in _INT_FIELDS | _FLOAT_FIELDS | _GRID_FIELDS:
                 raise ValueError(f"{path}:{ln}: unknown key '{key}'")
+            try:
+                value = _parse_value(key, val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {key} {exc}") from None
+            if key in set_on:
+                raise ValueError(f"{path}:{ln}: {key} already set on line {set_on[key]}")
+            values[key], set_on[key] = value, ln
     if seed_override is not None:
         values["master_seed"] = seed_override
     return SystemConfig(**values)
@@ -136,7 +145,9 @@ def _cmd_analyze(args) -> int:
     bound = pep_bound(snr, kappa, theta, zeta, config.dim,
                       config.geometry.total_tx, config.l_t)
     for r, pep in zip(results, bound):
-        print(f"snr {r.snr_db:6.2f} dB  ber {r.ber:.4e}  pep bound {pep:.4e}")
+        # a bound of 0.5 or more says nothing about a probability of error
+        mark = "  (vacuous)" if pep >= 0.5 else ""
+        print(f"snr {r.snr_db:6.2f} dB  ber {r.ber:.4e}  pep bound {pep:.4e}{mark}")
     try:
         slope = empirical_slope(snr, ber)
     except ValueError as exc:

@@ -1,9 +1,7 @@
 """Per-group bit metric computation for layered space-time codewords.
 
-A received codeword Y = diag(lam) Z + N splits into d independent groups,
-one per layer: entry (u, c) with c = (u + v - 1) mod d belongs to layer v
-and carries (G x_v)[u] times the layer weight.  Unwinding the unitary
-weight leaves every group with the same linear model
+pstbc.group_decompose splits a received codeword Y = diag(lam) Z + N
+into d independent groups, one per layer, each with the same linear model
 
     y_v = diag(lam) G x_v + noise,
 
@@ -24,30 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fec import QamConstellation
-from .pstbc import PerfectCodeParams, omega_matrix
-
-
-def group_columns(dim: int) -> np.ndarray:
-    """cols[v-1, u] = column index of layer v at receive row u."""
-    u = np.arange(dim)
-    v = np.arange(dim)
-    return (u[None, :] + v[:, None]) % dim
-
-
-def group_decompose(y: np.ndarray, params: PerfectCodeParams) -> np.ndarray:
-    """Split codeword observation(s) into weight-corrected group vectors.
-
-    y: (d, d) or (batch, d, d).  Returns matching (d, d) or (batch, d, d)
-    with row v-1 holding conj(omega_v) * y[u, (u + v - 1) % d].
-    """
-    y = np.asarray(y)
-    d = params.dim
-    if y.shape[-2:] != (d, d):
-        raise ValueError(f"observation trailing dims must be ({d}, {d})")
-    cols = group_columns(d)
-    weights = np.stack([omega_matrix(params, v + 1).diagonal() for v in range(d)])
-    gathered = y[..., np.arange(d)[None, :], cols]
-    return weights.conj() * gathered
+from .pstbc import PerfectCodeParams
 
 
 # LORD grid size K^(d-1) above which the top layers are peeled first

@@ -11,19 +11,22 @@ corner.  E^D = g I, so the D layers occupy D disjoint twisted diagonals:
 entry (u, c) of Z belongs to layer v = ((c - u) mod D) + 1 and equals
 (G x_v)_u, times g when the diagonal wraps (c < u).
 
-encode_batch is the one encoder: it maps a single (D, D) block of input
-vectors or any stack (..., D, D) of them.  omega_matrix describes the
-layer placement the detector unwinds.
+That placement is one table, built once per dimension: row u of E^v has
+its single nonzero entry, 1 or g, in column (u + v) mod D.  encode_batch
+scatters each layer along it, for one (D, D) block of input vectors or any
+stack (..., D, D) of them.  group_decompose is its inverse at the
+receiver: it gathers the layers of diag(lam) Z + N and removes the wrap
+weights, leaving diag(lam) G x_v plus white noise per layer.
 
 Generators: the Golden code for D = 2; for D = 3, 4, 6 the cyclotomic
 constructions over Q(omega, 2cos(2pi/7)), Q(i, 2cos(2pi/15)) and
 Q(omega, 2cos(2pi/28)), with a trace-orthonormal ideal basis reduced to
-integer coefficient tables below.  Unitarity is asserted when the
-parameters are built.
+integer coefficient tables below.  Unitarity, E^D = g I and the layout
+table are asserted when the parameters are built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -77,14 +80,12 @@ class PerfectCodeParams:
 
     generator: unitary D x D matrix G applied to each input vector.
     shift: the twisted shift matrix E.
-    shift_powers: (E^0, ..., E^(D-1)) precomputed for encoding.
     """
 
     dim: int
     g: complex
     generator: np.ndarray
     shift: np.ndarray
-    shift_powers: tuple = field(repr=False, default=())
 
 
 def _golden_generator() -> np.ndarray:
@@ -118,6 +119,17 @@ def _shift_matrix(dim: int, g: complex) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _layout(dim: int, g: complex):
+    """(cols, weights): row u of E^v has weights[v, u] at column cols[v, u]."""
+    total = np.arange(dim)[:, None] + np.arange(dim)
+    cols = total % dim
+    weights = np.where(total >= dim, g, 1.0 + 0j)
+    for arr in (cols, weights):
+        arr.setflags(write=False)
+    return cols, weights
+
+
+@lru_cache(maxsize=None)
 def build_params(dim: int) -> PerfectCodeParams:
     """Build (and verify) the code parameters for one dimension."""
     if dim not in SUPPORTED_DIMS:
@@ -133,13 +145,15 @@ def build_params(dim: int) -> PerfectCodeParams:
     if shift_err > 1e-12:
         raise AssertionError(f"shift matrix for D={dim} violates E^D = gI (err {shift_err:.2e})")
 
-    powers = [np.eye(dim, dtype=complex)]
-    for _ in range(dim - 1):
-        powers.append(powers[-1] @ shift)
-    for arr in (gen, shift, *powers):
+    cols, weights = _layout(dim, g)
+    for v in range(dim):
+        table = np.zeros((dim, dim), dtype=complex)
+        table[np.arange(dim), cols[v]] = weights[v]
+        if np.abs(np.linalg.matrix_power(shift, v) - table).max() > 1e-12:
+            raise AssertionError(f"layout table for D={dim} misplaces E^{v}")
+    for arr in (gen, shift):
         arr.setflags(write=False)
-    return PerfectCodeParams(dim=dim, g=g, generator=gen, shift=shift,
-                             shift_powers=tuple(powers))
+    return PerfectCodeParams(dim=dim, g=g, generator=gen, shift=shift)
 
 
 def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
@@ -154,20 +168,23 @@ def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
     rotated = x @ params.generator.T
+    cols, weights = _layout(d, params.g)
+    rows = np.arange(d)
     z = np.zeros_like(x)
     for v in range(d):
-        z += rotated[..., v, :, None] * params.shift_powers[v]
+        z[..., rows, cols[v]] = rotated[..., v, :] * weights[v]
     return z
 
 
-def omega_matrix(params: PerfectCodeParams, v: int) -> np.ndarray:
-    """Wrap-weight matrix Omega_v = diag(omega_{v,u}) for layer v (1-based).
+def group_decompose(y: np.ndarray, params: PerfectCodeParams) -> np.ndarray:
+    """Layers of codeword observation(s) y (..., D, D), wrap weights removed.
 
-    omega_{v,u} = 1 for u <= D - v + 1 and g for the wrapped tail.
+    Row v - 1 of the result holds conj(weight) * y[u, (u + v - 1) mod D]
+    over u, the inverse of encode_batch's placement (|g| = 1).
     """
+    y = np.asarray(y)
     d = params.dim
-    if not 1 <= v <= d:
-        raise ValueError(f"layer index must be in 1..{d}; got {v}")
-    w = np.ones(d, dtype=complex)
-    w[d - v + 1:] = params.g
-    return np.diag(w)
+    if y.shape[-2:] != (d, d):
+        raise ValueError(f"observation trailing dims must be ({d}, {d})")
+    cols, weights = _layout(d, params.g)
+    return weights.conj() * y[..., np.arange(d), cols]

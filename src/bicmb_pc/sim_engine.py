@@ -26,10 +26,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel_model import ArrayGeometry, _check_beta, _check_paths, draw_paths, path_core
-from .detector import MetricEngine, group_decompose
+from .detector import MetricEngine
 from .fec import (N_TAIL, Interleaver, QamConstellation, bits_per_symbol, conv_encode,
                   viterbi_decode_batch)
-from .pstbc import SUPPORTED_DIMS, build_params, encode_batch
+from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 
 _RESAMPLE_CAP = 1000
 _DEGENERATE_REL_TOL = 1e-12
@@ -99,6 +99,8 @@ class SystemConfig:
         for name in ("batch_frames", "max_frames", "target_bit_errors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
 
     @property
     def geometry(self) -> ArrayGeometry:
@@ -154,16 +156,6 @@ class _FramePipeline:
         self.constellation = QamConstellation(config.constellation_order)
         self.geom = config.geometry
         self.ivl = Interleaver(config.n_coded, seed=config.master_seed)
-        d = config.dim
-        bps = self.constellation.bits_per_symbol
-        # interleaved bit k -> (codeword group, symbol position, bit slot)
-        k = np.arange(config.n_coded)
-        s = k // bps
-        self.bit_j = k % bps
-        cw, p = divmod(s, d * d)
-        v, m = divmod(p, d)
-        self.group_idx = cw * d + v
-        self.pos_idx = m
         self.deint_rows = self.ivl.deinterleave(np.arange(config.n_coded))
         self.beta = np.asarray(config.beta, dtype=float)
         self.paths = np.asarray(config.n_paths)
@@ -210,9 +202,9 @@ class _FramePipeline:
         groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
 
         engine = MetricEngine(self.params, self.constellation, lam)
-        gamma = engine.bit_metrics(groups)
-        pairs = gamma[:, self.group_idx, self.pos_idx, self.bit_j, :]
-        decoded = viterbi_decode_batch(pairs[:, self.deint_rows, :])
+        # gamma rows (group, position, bit slot) run in mapped coded-bit order
+        gamma = engine.bit_metrics(groups).reshape(n_frames, -1, 2)
+        decoded = viterbi_decode_batch(gamma[:, self.deint_rows])
         errors = int((decoded != info).sum())
         return n_frames * n_info, errors
 

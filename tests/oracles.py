@@ -1,0 +1,44 @@
+"""Test-side references: the dense channel, channel-power draws, BER crossing.
+
+The package never forms the dense channel or samples the channel power on
+its own; these helpers exist so tests can check the path-core shortcuts
+and read SNR shifts off simulated curves.
+"""
+import numpy as np
+
+from bicmb_pc.channel_model import ArrayGeometry, draw_paths, path_core
+
+
+def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,
+                     n_paths) -> np.ndarray:
+    """Dense stacked (total_rx, total_tx) channel of draw_paths' factors."""
+    a_r, gain, a_t = draw_paths(rng, geom, beta, n_paths)
+    return (a_r * gain) @ a_t.conj().T
+
+
+def theta_samples(rng: np.random.Generator, geom: ArrayGeometry, beta,
+                  n_paths, n_samples: int) -> np.ndarray:
+    """Draws of the squared Frobenius norm sum_ij beta_ij ||H_ij||^2.
+
+    Each is the squared norm of the path core, so large arrays cost no
+    more than small ones.  Draw order matches assemble_channel, so with a
+    shared seed sample 0 equals the norm of the assembled matrix.
+    """
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    return np.array([np.linalg.norm(path_core(*draw_paths(rng, geom, beta, n_paths))) ** 2
+                     for _ in range(n_samples)])
+
+
+def snr_at_ber(snr_db, ber, target: float) -> float:
+    """SNR where log-interpolated BER first crosses the target (descending)."""
+    s = np.asarray(snr_db, dtype=float)
+    b = np.asarray(ber, dtype=float)
+    if target <= 0:
+        raise ValueError("target must be positive")
+    for i in range(len(s) - 1):
+        b0, b1 = b[i], b[i + 1]
+        if b0 >= target > b1 and b1 > 0:
+            t = (np.log10(target) - np.log10(b0)) / (np.log10(b1) - np.log10(b0))
+            return float(s[i] + t * (s[i + 1] - s[i]))
+    raise ValueError("BER curve does not cross the target on the grid")

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bicmb_pc.analysis import empirical_slope, snr_at_ber, welch_satterthwaite
-from bicmb_pc.channel_model import ArrayGeometry, assemble_channel, theta_samples
-from bicmb_pc.detector import MetricEngine, group_decompose
+from bicmb_pc.analysis import empirical_slope, welch_satterthwaite
+from bicmb_pc.channel_model import ArrayGeometry
+from bicmb_pc.detector import MetricEngine
 from bicmb_pc.fec import QamConstellation, free_distance
-from bicmb_pc.pstbc import build_params, encode_batch
+from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import (
     SystemConfig,
     config_hash,
@@ -24,6 +24,7 @@ from bicmb_pc.sim_engine import (
     run_sweep,
     write_csv,
 )
+from oracles import assemble_channel, snr_at_ber, theta_samples
 
 # Shared Monte Carlo budget for the slow sweep checks.  The stop rule and
 # the per-frame seeding make every curve below reproducible bit for bit.

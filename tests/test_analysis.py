@@ -5,15 +5,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bicmb_pc.analysis import (
-    empirical_slope,
-    pep_bound,
-    snr_at_ber,
-    welch_satterthwaite,
-    zeta_min,
-)
+from bicmb_pc.analysis import empirical_slope, pep_bound, welch_satterthwaite, zeta_min
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params
+from oracles import snr_at_ber
 
 
 def test_uniform_profile_exact_kappa():

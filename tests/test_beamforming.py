@@ -6,9 +6,10 @@ full model from the dense channel's numpy SVD and compare.
 import numpy as np
 import pytest
 
-from bicmb_pc.channel_model import ArrayGeometry, assemble_channel
+from bicmb_pc.channel_model import ArrayGeometry
 from bicmb_pc.pstbc import build_params, encode_batch
 from bicmb_pc.sim_engine import cn_noise, is_degenerate, noise_variance
+from oracles import assemble_channel
 
 GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
 

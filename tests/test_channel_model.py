@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from bicmb_pc.channel_model import (
-    ArrayGeometry,
-    array_response,
-    assemble_channel,
-    draw_paths,
-    path_core,
-    theta_samples,
-)
+from bicmb_pc.channel_model import ArrayGeometry, array_response, draw_paths, path_core
+from oracles import assemble_channel, theta_samples
 
 GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
 ONE_BLOCK = ArrayGeometry(n_t=16, n_r=8, l_t=1, l_r=1)

@@ -46,7 +46,7 @@ def test_load_config_seed_override(config_file):
 
 def test_load_config_uneven_grid(tmp_path):
     path = tmp_path / "g.cfg"
-    path.write_text(BASE_CONFIG + "\nn_paths = 6 2; 3 1\n")
+    path.write_text(BASE_CONFIG.replace("n_paths = 2 2; 2 2", "n_paths = 6 2; 3 1"))
     cfg = load_config(str(path))
     assert cfg.n_paths == ((6, 2), (3, 1))
 
@@ -126,7 +126,7 @@ def test_sweep_rejects_non_finite_snr_flags(config_file, tmp_path, capsys):
 def test_analyze_reports_diversity(config_file, tmp_path, capsys):
     out = tmp_path / "res.csv"
     main(["sweep", "--config", str(config_file), "--out", str(out),
-          "--snr-min", "4", "--snr-max", "8", "--snr-step", "2"])
+          "--snr-min", "4", "--snr-max", "40", "--snr-step", "18"])
     capsys.readouterr()
     rc = main(["analyze", str(out), "--config", str(config_file),
                "--exact-ratios"])
@@ -141,10 +141,14 @@ def test_analyze_reports_diversity(config_file, tmp_path, capsys):
                          2, cfg.geometry.total_tx, cfg.l_t)
     lines = [ln for ln in text.splitlines() if "pep bound" in ln]
     assert len(lines) == len(rows) == 3
+    # the grid spans both sides of the 0.5 line: 4 and 22 dB are vacuous
+    assert (expected >= 0.5).tolist() == [True, True, False]
     for line, r, bound in zip(lines, rows, expected):
         assert f"snr {r.snr_db:6.2f} dB" in line
         assert f"ber {r.ber:.4e}" in line
-        assert float(line.split("pep bound")[1]) == pytest.approx(bound, rel=1e-4)
+        value, vacuous = line.split("pep bound")[1], "(vacuous)" in line
+        assert vacuous == (bound >= 0.5)
+        assert float(value.replace("(vacuous)", "")) == pytest.approx(bound, rel=1e-4)
 
 
 def test_analyze_refuses_hash_mismatch(config_file, tmp_path, capsys):
@@ -276,3 +280,40 @@ def test_sweep_rejects_non_finite_spacing(tmp_path, capsys):
     assert rc == 1
     assert err == "error: spacing must be positive and finite\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_bad_scalar_value_names_file_line_and_key(config_file, tmp_path, capsys):
+    path = tmp_path / "float.cfg"
+    path.write_text(BASE_CONFIG.replace("n_t = 16", "n_t = 16.0"))
+    line = BASE_CONFIG.splitlines().index("n_t = 16") + 1
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}:{line}: n_t must be an integer, got '16.0'\n"
+
+
+def test_repeated_key_names_both_lines(config_file, tmp_path, capsys):
+    path = tmp_path / "twice.cfg"
+    path.write_text(BASE_CONFIG + "n_t = 4\n")
+    first = BASE_CONFIG.splitlines().index("n_t = 16") + 1
+    second = len(BASE_CONFIG.splitlines()) + 1
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: {path}:{second}: n_t already set on line {first}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_negative_seed_is_rejected_by_name(config_file, tmp_path, capsys):
+    for cfg_text, flags in ((BASE_CONFIG, ["--seed", "-1"]),
+                            (BASE_CONFIG.replace("master_seed = 3", "master_seed = -1"), [])):
+        path = tmp_path / "seed.cfg"
+        path.write_text(cfg_text)
+        rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+                   "--snr-min", "10", "--snr-max", "10", *flags])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: master_seed must be nonnegative\n"
+    with pytest.raises(ValueError, match="master_seed must be nonnegative"):
+        SystemConfig(master_seed=-1)

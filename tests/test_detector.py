@@ -5,14 +5,9 @@ import numpy as np
 import pytest
 
 from bicmb_pc import detector
-from bicmb_pc.detector import (
-    MetricEngine,
-    group_columns,
-    group_decompose,
-    qr_reduce,
-)
+from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
-from bicmb_pc.pstbc import build_params, encode_batch
+from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import SystemConfig
 
 
@@ -122,11 +117,6 @@ def random_lam(rng, d):
 def random_symbols(rng, c, d):
     labels = rng.integers(0, c.order, d)
     return c.points[labels], labels
-
-
-def test_group_columns_pattern():
-    cols = group_columns(3)
-    assert cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

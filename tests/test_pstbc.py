@@ -127,15 +127,21 @@ def test_perturbing_one_vector_touches_d_entries(d):
     assert changed.sum() == d
 
 
-def test_omega_matrix_identities():
+def test_layout_table_is_the_nonzero_pattern_of_shift_powers():
+    # row u of E^v holds one nonzero entry, weights[v, u] at column cols[v, u]
     for d in ALL_DIMS:
         p = pstbc.build_params(d)
-        assert np.abs(pstbc.omega_matrix(p, 1) - np.eye(d)).max() == 0
-        last = pstbc.omega_matrix(p, d)
-        expect = np.diag([1.0] + [p.g] * (d - 1))
-        assert np.abs(last - expect).max() < 1e-15
-    with pytest.raises(ValueError):
-        pstbc.omega_matrix(pstbc.build_params(2), 3)
+        cols, weights = pstbc._layout(d, p.g)
+        for v in range(d):
+            power = np.linalg.matrix_power(p.shift, v)
+            rows, nonzero_cols = np.nonzero(power)
+            assert rows.tolist() == list(range(d))
+            assert np.array_equal(nonzero_cols, cols[v])
+            assert np.abs(power[rows, nonzero_cols] - weights[v]).max() < 1e-15
+        assert np.array_equal(weights[0], np.ones(d))
+        assert np.abs(weights[-1] - ([1.0] + [p.g] * (d - 1))).max() < 1e-15
+    cols, _ = pstbc._layout(3, pstbc.build_params(3).g)
+    assert cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
@@ -148,7 +154,9 @@ def test_layer_extraction_matches_omega_form(d):
     lz = np.diag(lam) @ pstbc.encode_batch(p, x)
     for v in range(1, d + 1):
         picked = np.array([lz[u, (u + v - 1) % d] for u in range(d)])
-        expect = pstbc.omega_matrix(p, v) @ np.diag(lam) @ p.generator @ x[v - 1]
+        # rows whose diagonal wraps past the last column pick up g
+        wrap = np.where(np.arange(d) + v - 1 >= d, p.g, 1.0)
+        expect = wrap * lam * (p.generator @ x[v - 1])
         assert np.abs(picked - expect).max() < 1e-12
 
 
@@ -166,3 +174,24 @@ def test_encode_batch_matches_single():
             assert np.allclose(batch[i, j], literal, atol=1e-14)
             assert np.allclose(batch[i, j], pstbc.encode_batch(params, x[i, j]),
                                atol=1e-14)
+
+
+def shift_power_encode(params, x):
+    """Reference encoder: sum_v diag(G x_v) E^v with dense shift powers."""
+    d = params.dim
+    powers = [np.eye(d, dtype=complex)]
+    for _ in range(d - 1):
+        powers.append(powers[-1] @ params.shift)
+    rotated = x @ params.generator.T
+    z = np.zeros_like(x)
+    for v in range(d):
+        z += rotated[..., v, :, None] * powers[v]
+    return z
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_encode_batch_is_bit_identical_to_shift_power_sum(d):
+    rng = np.random.default_rng(70 + d)
+    params = pstbc.build_params(d)
+    x = rng.standard_normal((64, 30, d, d)) + 1j * rng.standard_normal((64, 30, d, d))
+    assert np.array_equal(pstbc.encode_batch(params, x), shift_power_encode(params, x))

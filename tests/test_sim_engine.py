@@ -3,7 +3,7 @@ import pytest
 
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
-from bicmb_pc.pstbc import build_params
+from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import (
     PointResult,
     SystemConfig,
@@ -111,6 +111,23 @@ def test_batched_metrics_match_metric_engine():
             assert np.allclose(batched[i], ref, atol=1e-12)
             assert np.allclose(batched[i, :, 0, 0, :].min(axis=-1),
                                ref[:, 0, 0, :].min(axis=-1), atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,order", [(2, 16), (3, 16), (4, 16), (6, 4)])
+def test_metric_rows_follow_mapped_bit_order(dim, order):
+    # run_batch hands gamma.reshape(frames, -1, 2) to the deinterleaver:
+    # row k must be the metric pair of mapped coded bit k
+    rng = np.random.default_rng(40 + dim)
+    params = build_params(dim)
+    c = QamConstellation(order)
+    n_frames, n_codewords = 3, 2
+    bits = rng.integers(0, 2, (n_frames, n_codewords * dim * dim * c.bits_per_symbol))
+    x = c.map_bits(bits).reshape(n_frames, n_codewords, dim, dim)
+    lam = np.sort(rng.uniform(0.5, 3.0, (n_frames, dim)), axis=1)[:, ::-1]
+    y = lam[:, None, :, None] * encode_batch(params, x)
+    groups = group_decompose(y, params).reshape(n_frames, n_codewords * dim, dim)
+    gamma = MetricEngine(params, c, lam).bit_metrics(groups)
+    assert np.array_equal(gamma.reshape(n_frames, -1, 2).argmin(-1), bits)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
