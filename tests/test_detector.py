@@ -7,7 +7,7 @@ import pytest
 from bicmb_pc import detector
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
-from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
+from bicmb_pc.pstbc import _layout, build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import SystemConfig
 
 
@@ -117,6 +117,12 @@ def random_lam(rng, d):
 def random_symbols(rng, c, d):
     labels = rng.integers(0, c.order, d)
     return c.points[labels], labels
+
+
+def test_group_columns_pattern():
+    # columns group_decompose gathers layer v from, one row per layer
+    cols, _ = _layout(3, build_params(3).g)
+    assert cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])

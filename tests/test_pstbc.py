@@ -138,10 +138,16 @@ def test_layout_table_is_the_nonzero_pattern_of_shift_powers():
             assert rows.tolist() == list(range(d))
             assert np.array_equal(nonzero_cols, cols[v])
             assert np.abs(power[rows, nonzero_cols] - weights[v]).max() < 1e-15
+
+
+def test_omega_matrix_identities():
+    # Omega_v = diag(weights[v - 1]): identity for the first layer,
+    # diag(1, g, ..., g) for the last
+    for d in ALL_DIMS:
+        p = pstbc.build_params(d)
+        _, weights = pstbc._layout(d, p.g)
         assert np.array_equal(weights[0], np.ones(d))
         assert np.abs(weights[-1] - ([1.0] + [p.g] * (d - 1))).max() < 1e-15
-    cols, _ = pstbc._layout(3, pstbc.build_params(3).g)
-    assert cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)
