@@ -167,7 +167,7 @@ def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(f"inputs must be shaped (..., {d}, {d}); got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
-    rotated = x @ params.generator.T
+    rotated = (x.reshape(-1, d) @ params.generator.T).reshape(x.shape)
     cols, weights = _layout(d, params.g)
     rows = np.arange(d)
     z = np.zeros_like(x)

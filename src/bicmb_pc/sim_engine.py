@@ -6,6 +6,12 @@ np.random.default_rng([master_seed, 1, i, k]), so results are identical
 for any worker count or batch schedule.  Points stop at a batch boundary
 once the bit-error or frame budget is reached.
 
+Batches run on a runner: the in-process _FramePipeline, or a _PoolRunner
+whose pool workers each keep one _FramePipeline per config.  _open_runner
+is the one place that chooses.  run_ber_point submits rounds of `workers`
+batches and absorbs them in submission order; run_sweep opens one runner
+for its whole SNR grid.
+
 SVD beamforming reduces each channel H to the D strongest subchannels:
 W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
 because W has orthonormal columns, so frames are simulated in that reduced
@@ -16,7 +22,9 @@ value is numerically zero is redrawn from the same frame stream.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
 import hashlib
 import itertools
 import json
@@ -160,20 +168,24 @@ class _FramePipeline:
         self.beta = np.asarray(config.beta, dtype=float)
         self.paths = np.asarray(config.n_paths)
 
-    def frame_rng(self, snr_index: int, frame_index: int) -> np.random.Generator:
-        return np.random.default_rng(
-            [self.config.master_seed, 1, snr_index, frame_index])
+    def submit(self, *batch):
+        """Run the batch now; returns the getter of its (info_bits, errors)."""
+        result = self.run_batch(*batch)
+        return lambda: result
 
-    def run_batch(self, snr_db: float, snr_index: int, frame_start: int,
-                  n_frames: int, noiseless: bool = False):
+    def close(self):
+        """Nothing to release: batches run in this process."""
+
+    def run_batch(self, snr_db: float, snr_index: int, frame_start: int, n_frames: int):
         """Simulate frames [frame_start, frame_start + n_frames).
 
-        Returns (info_bits_total, bit_errors_total).
+        Returns (info_bits_total, bit_errors_total).  snr_db = inf is noiseless.
         """
         cfg = self.config
         d, n_info, n_codewords = cfg.dim, cfg.n_info, cfg.n_codewords
-        n0 = 0.0 if noiseless else noise_variance(self.geom.total_tx, snr_db)
-        rngs = [self.frame_rng(snr_index, frame_start + i) for i in range(n_frames)]
+        n0 = noise_variance(self.geom.total_tx, snr_db)
+        rngs = [np.random.default_rng([cfg.master_seed, 1, snr_index, frame_start + i])
+                for i in range(n_frames)]
 
         info = np.stack([r.integers(0, 2, n_info) for r in rngs]).astype(np.uint8)
         padded = np.pad(info, ((0, 0), (0, N_TAIL)))
@@ -197,76 +209,87 @@ class _FramePipeline:
 
         z = encode_batch(self.params, x)
         y = lam[:, None, :, None] * z
-        if n0 > 0:
-            y = y + np.stack([cn_noise(r, z.shape[1:], n0) for r in rngs])
+        y = y + np.stack([cn_noise(r, z.shape[1:], n0) for r in rngs])
         groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
 
         engine = MetricEngine(self.params, self.constellation, lam)
         # gamma rows (group, position, bit slot) run in mapped coded-bit order
         gamma = engine.bit_metrics(groups).reshape(n_frames, -1, 2)
         decoded = viterbi_decode_batch(gamma[:, self.deint_rows])
-        errors = int((decoded != info).sum())
-        return n_frames * n_info, errors
+        return n_frames * n_info, int((decoded != info).sum())
 
 
-def _batch_worker(config: SystemConfig, snr_db: float, snr_index: int,
-                  frame_start: int, n_frames: int, noiseless: bool):
-    pipe = _FramePipeline(config)
-    return pipe.run_batch(snr_db, snr_index, frame_start, n_frames, noiseless)
+def _batch_worker(config: SystemConfig, *batch):
+    return _worker_pipeline(config).run_batch(*batch)
+
+
+@functools.lru_cache(maxsize=1)
+def _worker_pipeline(config: SystemConfig) -> _FramePipeline:
+    """The pipeline a pool worker keeps across every batch of its config."""
+    return _FramePipeline(config)
+
+
+class _PoolRunner:
+    """Batches on a process pool; same submit/close interface as _FramePipeline."""
+
+    def __init__(self, config: SystemConfig, workers: int):
+        self.config, self.pool = config, ProcessPoolExecutor(max_workers=workers)
+
+    def submit(self, *batch):
+        return self.pool.submit(_batch_worker, self.config, *batch).result
+
+    def close(self):
+        self.pool.shutdown(cancel_futures=True)
+
+
+def _open_runner(config: SystemConfig, workers: int):
+    """The one place that picks in-process or pooled batches."""
+    return _FramePipeline(config) if workers == 1 else _PoolRunner(config, workers)
 
 
 def run_ber_point(config: SystemConfig, snr_db: float, snr_index: int = 0,
                   workers: int = 1, noiseless: bool = False,
-                  pipeline: _FramePipeline | None = None) -> PointResult:
-    """Accumulate batches until the error or frame budget is met.
+                  pipeline: _FramePipeline | _PoolRunner | None = None) -> PointResult:
+    """Accumulate rounds of `workers` batches until the error or frame budget is met.
 
-    The stop rule is evaluated on cumulative counts in batch order, so the
-    result is byte-identical for any worker count.
+    Batches are absorbed in submission order and the stop rule is evaluated
+    on cumulative counts, so the result is byte-identical for any worker
+    count; batches of a round that end past the stop are awaited and
+    dropped.  pipeline is a runner for this config from _open_runner (a
+    _FramePipeline or a _PoolRunner); without one, a runner is opened here
+    and closed before returning.
     """
     if workers < 1:
         raise ValueError("workers must be positive")
-    bsz, n_info = config.batch_frames, config.n_info
-    frames = info_bits = errors = 0
-    starts = itertools.count(0, bsz)
-
-    def _absorb(res):
-        nonlocal frames, info_bits, errors
-        nfo, err = res
-        frames += nfo // n_info
-        info_bits += nfo
-        errors += err
-        return errors >= config.target_bit_errors or frames >= config.max_frames
-
-    if workers == 1:
-        pipe = pipeline if pipeline is not None else _FramePipeline(config)
-        for start in starts:
-            if _absorb(pipe.run_batch(snr_db, snr_index, start, bsz, noiseless)):
-                break
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = False
-            while not done:
-                futs = [pool.submit(_batch_worker, config, snr_db, snr_index,
-                                    next(starts), bsz, noiseless)
-                        for _ in range(workers)]
-                for fut in futs:            # in submission order
-                    if done:
-                        fut.result()        # completed speculatively; discard
-                        continue
-                    done = _absorb(fut.result())
-
-    return PointResult(snr_db=snr_db, frames=frames, info_bits=info_bits,
-                       bit_errors=errors)
+    runner = (contextlib.nullcontext(pipeline) if pipeline is not None
+              else contextlib.closing(_open_runner(config, workers)))
+    snr = float("inf") if noiseless else snr_db     # noise_variance(., inf) == 0
+    starts = itertools.count(0, config.batch_frames)
+    done, info_bits, errors = False, 0, 0
+    with runner as run:
+        if run.config != config:
+            raise ValueError("pipeline was built for a different config")
+        while not done:
+            results = [run.submit(snr, snr_index, next(starts), config.batch_frames)
+                       for _ in range(workers)]
+            for result in results:              # absorbed in submission order
+                nfo, err = result()
+                if not done:
+                    info_bits, errors = info_bits + nfo, errors + err
+                    done = (errors >= config.target_bit_errors
+                            or info_bits >= config.max_frames * config.n_info)
+    return PointResult(snr_db=snr_db, frames=info_bits // config.n_info,
+                       info_bits=info_bits, bit_errors=errors)
 
 
-def run_sweep(config: SystemConfig, snr_grid, workers: int = 1,
-              noiseless: bool = False) -> list[PointResult]:
+def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointResult]:
+    """One runner (so at most one pool) serves every point of the grid."""
     grid = [float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float))]
     if not grid:
         raise ValueError("empty SNR grid")
-    pipe = _FramePipeline(config) if workers == 1 else None
-    return [run_ber_point(config, s, i, workers, noiseless, pipeline=pipe)
-            for i, s in enumerate(grid)]
+    with contextlib.closing(_open_runner(config, workers)) as runner:
+        return [run_ber_point(config, s, i, workers, pipeline=runner)
+                for i, s in enumerate(grid)]
 
 
 _CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -182,12 +184,15 @@ def test_missing_config_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# coincident antennas: every draw is rank one, so two streams never fit
+STARVED_CONFIG = ("n_t = 4\nn_r = 4\nl_t = 1\nl_r = 1\ndim = 2\nbeta = 1.0\n"
+                  "n_paths = 4\nspacing = 1e-15\nnominal_info_bits = 64\n"
+                  "batch_frames = 1\nmax_frames = 1\n")
+
+
 def test_rank_starved_channel_is_a_one_line_error(tmp_path, capsys):
-    # coincident antennas: every draw is rank one, so two streams never fit
     path = tmp_path / "starved.cfg"
-    path.write_text("n_t = 4\nn_r = 4\nl_t = 1\nl_r = 1\ndim = 2\nbeta = 1.0\n"
-                    "n_paths = 4\nspacing = 1e-15\nnominal_info_bits = 64\n"
-                    "batch_frames = 1\nmax_frames = 1\n")
+    path.write_text(STARVED_CONFIG)
     rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
                "--snr-min", "10", "--snr-max", "10"])
     err = capsys.readouterr().err
@@ -196,6 +201,19 @@ def test_rank_starved_channel_is_a_one_line_error(tmp_path, capsys):
     for name in ("beta", "n_paths", "spacing"):
         assert name in err
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_rank_starved_pooled_sweep_is_a_one_line_error(tmp_path, capsys):
+    path = tmp_path / "starved.cfg"
+    path.write_text(STARVED_CONFIG)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "11", "--workers", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "channel rank starved" in err
+    assert not (tmp_path / "x.csv").exists()
+    assert not multiprocessing.active_children()
 
 
 def test_usage_error_exits_two():

@@ -1,6 +1,10 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from bicmb_pc import sim_engine
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
@@ -135,6 +139,7 @@ def test_noiseless_loopback_is_error_free(dim):
     cfg = SystemConfig(dim=dim, nominal_info_bits=144, batch_frames=2,
                        max_frames=4, target_bit_errors=1)
     res = run_ber_point(cfg, snr_db=0.0, noiseless=True)
+    assert res.snr_db == 0.0
     assert res.bit_errors == 0
     assert res.frames == 4
     assert res.ber == 0.0
@@ -176,10 +181,63 @@ def test_runs_are_deterministic():
 
 
 def test_worker_count_does_not_change_results():
-    serial = run_ber_point(SMALL, snr_db=6.0, snr_index=0, workers=1)
-    parallel = run_ber_point(SMALL, snr_db=6.0, snr_index=0, workers=2)
-    assert (serial.frames, serial.info_bits, serial.bit_errors) == \
-        (parallel.frames, parallel.info_bits, parallel.bit_errors)
+    # SMALL stops after at most two 8-frame batches, so a round of three
+    # always computes a batch past the stop that must be dropped
+    counts = set()
+    for workers in (1, 2, 3):
+        res = run_ber_point(SMALL, snr_db=6.0, snr_index=0, workers=workers)
+        counts.add((res.frames, res.info_bits, res.bit_errors))
+    assert len(counts) == 1
+    assert not multiprocessing.active_children()
+
+
+def test_sweep_opens_one_pool(monkeypatch):
+    opened = []
+
+    class SpyPool(sim_engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", SpyPool)
+    pooled = run_sweep(SMALL, [4.0, 6.0, 8.0], workers=2)
+    assert len(opened) == 1
+    serial = run_sweep(SMALL, [4.0, 6.0, 8.0])
+    assert len(opened) == 1
+    assert pooled == serial
+
+
+def test_worker_builds_one_pipeline_per_config(monkeypatch):
+    expected = sim_engine._FramePipeline(SMALL).run_batch(6.0, 0, 8, 8)
+    built = []
+
+    class SpyPipeline(sim_engine._FramePipeline):
+        def __init__(self, config):
+            super().__init__(config)
+            built.append(config)
+
+    monkeypatch.setattr(sim_engine, "_FramePipeline", SpyPipeline)
+    sim_engine._worker_pipeline.cache_clear()
+    try:
+        sim_engine._batch_worker(SMALL, 6.0, 0, 0, 8)
+        second = sim_engine._batch_worker(SMALL, 6.0, 0, 8, 8)
+    finally:
+        sim_engine._worker_pipeline.cache_clear()
+    assert built == [SMALL]
+    assert second == expected
+
+
+def test_pipeline_for_another_config_is_rejected():
+    # a larger n_info would otherwise be counted as more frames per batch
+    wide = dataclasses.replace(SMALL, nominal_info_bits=1024)
+    with pytest.raises(ValueError, match="different config"):
+        run_ber_point(SMALL, snr_db=6.0, pipeline=sim_engine._FramePipeline(wide))
+    runner = sim_engine._open_runner(wide, 2)
+    try:
+        with pytest.raises(ValueError, match="different config"):
+            run_ber_point(SMALL, snr_db=6.0, workers=2, pipeline=runner)
+    finally:
+        runner.close()
 
 
 def test_stop_rules():
