@@ -12,7 +12,6 @@ bound that `bicmb-pc analyze` prints next to each measured BER point.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from numbers import Integral
 
 import numpy as np
@@ -85,7 +84,7 @@ def zeta_min(params: PerfectCodeParams, constellation: QamConstellation) -> floa
     last nonzero entry has re > 0, im >= 0 are enumerated, in chunks.
     """
     chunk = 1 << 17
-    top = isqrt(constellation.order) - 1
+    top = len(constellation.levels) - 1
     axis = np.arange(-top, top + 1)
     diffs = (axis[:, None] + 1j * axis[None, :]).ravel()
     quadrant = diffs[(diffs.real > 0) & (diffs.imag >= 0)]

@@ -143,9 +143,8 @@ def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.
         sub = sub[keep, :level] - c.points[lab, None] * r[:level, level]
     top = d - peel
     leaf = _lord_grid(sub[None], r[None, :top, :top], c)[0] + off[:, None, None, None]
-    bits = (labels[..., None] >> np.arange(c.bits_per_symbol - 1, -1, -1)) & 1
     best = leaf[:, 0, 0].min(axis=-1)[:, None, None, None]
-    peeled = np.where(bits[..., None] == (0, 1), best, np.inf)
+    peeled = np.where(c.label_bits[labels][..., None] == (0, 1), best, np.inf)
     starts = np.searchsorted(grp, np.arange(n))
     return np.concatenate([np.minimum.reduceat(leaf, starts),
                            np.minimum.reduceat(peeled, starts)], axis=1)
@@ -157,11 +156,8 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     k, bps = c.order, c.bits_per_symbol
     rest = c.grid(d - 1)                # x_2..x_d candidates
     n_cand = rest.shape[1]
-    levels = np.unique(c.points.real)
-    # level index of each label's I and Q coordinate
-    level_i = np.searchsorted(levels, c.points.real)
-    level_q = np.searchsorted(levels, c.points.imag)
-    levels = levels[:, None, None, None]
+    levels = c.levels[:, None, None, None]
+    level_i, level_q = c.axis_level
     # candidate grid axes to reduce over for each of x_2..x_d
     other_axes = [tuple(ax for ax in range(-(d - 1), 0) if ax != m - d)
                   for m in range(1, d)]
@@ -181,16 +177,16 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
             dist_i = (a.real - r11 * levels) ** 2     # (level, f, g, cand)
             dist_q = (a.imag - r11 * levels) ** 2
             min_i, min_q = dist_i.min(axis=0), dist_q.min(axis=0)
-            # x_1 tables: best cost with x_1's I (or Q) level set by the label;
-            # a Gray bit on one axis leaves the other axis free
-            x1_i = np.moveaxis((tail + min_q + dist_i).min(axis=-1)[level_i], 0, -1)
-            x1_q = np.moveaxis((tail + min_i + dist_q).min(axis=-1)[level_q], 0, -1)
+            # x_1 tables per axis: best cost with x_1's I (or Q) level set by
+            # the label; a Gray bit on one axis leaves the other axis free
+            x1 = (np.moveaxis((tail + min_q + dist_i).min(axis=-1)[level_i], 0, -1),
+                  np.moveaxis((tail + min_i + dist_q).min(axis=-1)[level_q], 0, -1))
             best = (tail + min_i + min_q).reshape(q.shape[:2] + (d - 1) * (k,))
             per_label = [None] + [best.min(axis=axes) for axes in other_axes]
             out = gamma[f0:f0 + frame_step, g0:g0 + group_step]
             for m in range(d):
                 for j in range(bps):
-                    table = per_label[m] if m else (x1_i if j < bps // 2 else x1_q)
+                    table = per_label[m] if m else x1[c.bit_axis[j]]
                     for b in (0, 1):
                         out[..., m, j, b] = table[..., c.subset_indices[j, b]].min(axis=-1)
     return gamma

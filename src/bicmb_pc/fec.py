@@ -11,6 +11,10 @@ one compare and one minimum over (2, 2, 32, n_frames) candidates.  Branch
 metrics are built for a chunk of steps at a time from the 4 possible coded
 pairs, and each step's 64 survivor decisions per frame are packed into one
 uint64, which the traceback reads with shifts and masks.
+
+QamConstellation is the one owner of the Gray labeling: it builds the label
+bits, per-axis level indices, axis levels and bit-to-axis tables once, and
+the detector, zeta_min and the self checks read those tables.
 """
 from __future__ import annotations
 
@@ -177,14 +181,6 @@ class Interleaver:
         return x[self._inverse]
 
 
-def _gray_to_binary(g: int) -> int:
-    b = 0
-    while g:
-        b ^= g
-        g >>= 1
-    return b
-
-
 def bits_per_symbol(order: int) -> int:
     """Bits carried by one symbol of a supported square QAM order (4 or 16)."""
     if order not in (4, 16):
@@ -195,40 +191,39 @@ def bits_per_symbol(order: int) -> int:
 class QamConstellation:
     """Square Gray-labeled QAM with unit average energy.
 
-    Labels are integers read MSB-first; the first half of the bits selects
-    the in-phase level, the second half the quadrature level.  Per axis the
-    Gray sequence 00, 01, 11, 10 maps to levels -3, -1, +1, +3 (16-QAM).
+    The one owner of the labeling.  Labels are integers read MSB-first; the
+    first half of the bits selects the in-phase level, the second half the
+    quadrature level.  Per axis the Gray sequence 00, 01, 11, 10 maps to
+    levels -3, -1, +1, +3 (16-QAM).  Read-only tables:
+
+    - label_bits[label, j]: bit j of the label, MSB first;
+    - axis_level[a, label]: index into levels of the label's I (a = 0) or
+      Q (a = 1) coordinate;
+    - levels: the sorted per-axis amplitudes, the same on both axes;
+    - bit_axis[j]: the axis bit j addresses;
+    - subset_indices[j, b]: the labels whose bit j equals b, ascending.
     """
 
     def __init__(self, order: int = 16):
-        self.bits_per_symbol = bits_per_symbol(order)
+        bps = self.bits_per_symbol = bits_per_symbol(order)
         self.order = order
-        side = self.bits_per_symbol // 2
-        n_axis = 1 << side
-        amps = 2 * np.arange(n_axis) - (n_axis - 1)      # -3,-1,1,3 or -1,1
-        pts = np.zeros(order, dtype=complex)
-        for label in range(order):
-            gi = label >> side
-            gq = label & (n_axis - 1)
-            pts[label] = amps[_gray_to_binary(gi)] + 1j * amps[_gray_to_binary(gq)]
+        side = bps // 2
+        self.label_bits = (np.arange(order)[:, None] >> np.arange(bps - 1, -1, -1)) & 1
+        self.bit_axis = np.arange(bps) // side
+        # Gray to binary per axis: each binary bit is the XOR of the Gray bits up to it
+        binary = np.bitwise_xor.accumulate(self.label_bits.reshape(order, 2, side), axis=-1)
+        self.axis_level = (binary @ (1 << np.arange(side - 1, -1, -1))).T
+        amps = 2 * np.arange(1 << side) - ((1 << side) - 1)     # -3,-1,1,3 or -1,1
+        pts = amps[self.axis_level[0]] + 1j * amps[self.axis_level[1]]
         self.scale = float(np.sqrt(np.mean(np.abs(pts) ** 2)))
         self.points = pts / self.scale
-        self.points.setflags(write=False)
-        # subset_indices[j, b] = labels whose j-th bit (MSB-first) equals b
-        self.subset_indices = np.zeros((self.bits_per_symbol, 2, order // 2), dtype=np.int64)
-        labels = np.arange(order)
-        for j in range(self.bits_per_symbol):
-            bitval = (labels >> (self.bits_per_symbol - 1 - j)) & 1
-            for b in (0, 1):
-                self.subset_indices[j, b] = labels[bitval == b]
-        self.subset_indices.setflags(write=False)
-
-    def qam_bit_label(self, symbol_index: int, j: int) -> int:
-        if not 0 <= symbol_index < self.order:
-            raise ValueError("symbol index out of range")
-        if not 0 <= j < self.bits_per_symbol:
-            raise ValueError("bit position out of range")
-        return (symbol_index >> (self.bits_per_symbol - 1 - j)) & 1
+        self.levels = amps / self.scale
+        # a stable sort of each bit column lists the bit-0 labels, then the bit-1 labels
+        self.subset_indices = np.argsort(self.label_bits.T, axis=-1, kind="stable") \
+            .reshape(bps, 2, order // 2)
+        for table in (self.label_bits, self.bit_axis, self.axis_level, self.points,
+                      self.levels, self.subset_indices):
+            table.setflags(write=False)
 
     def map_bits(self, bits: np.ndarray) -> np.ndarray:
         """Vectorized mapping of a bit stream to symbols (labels MSB-first)."""

@@ -193,19 +193,20 @@ class _FramePipeline:
         inter = coded[:, self.ivl.permutation]
         x = self.constellation.map_bits(inter).reshape(n_frames, n_codewords, d, d)
 
-        factors = [draw_paths(r, self.geom, self.beta, self.paths) for r in rngs]
-        cores = path_core(*map(np.stack, zip(*factors)))
-        lam = np.linalg.svd(cores, compute_uv=False)[:, :d]
-        for i in np.flatnonzero(is_degenerate(lam)):
-            tries = 0
-            while is_degenerate(lam[i]):
-                tries += 1
-                if tries > _RESAMPLE_CAP:
-                    raise ValueError(
-                        f"channel rank starved: {_RESAMPLE_CAP} redraws gave fewer "
-                        f"than {d} usable streams; check beta, n_paths and spacing")
-                core = path_core(*draw_paths(rngs[i], self.geom, self.beta, self.paths))
-                lam[i] = np.linalg.svd(core, compute_uv=False)[:d]
+        # each pass draws the pending frames (all of them at first), one
+        # channel per frame from its own stream, and keeps the degenerate ones
+        lam, pending = np.empty((n_frames, d)), np.arange(n_frames)
+        for _ in range(_RESAMPLE_CAP + 1):
+            factors = [draw_paths(rngs[i], self.geom, self.beta, self.paths) for i in pending]
+            cores = path_core(*map(np.stack, zip(*factors)))
+            lam[pending] = np.linalg.svd(cores, compute_uv=False)[:, :d]
+            pending = pending[is_degenerate(lam[pending])]
+            if not pending.size:
+                break
+        else:
+            raise ValueError(
+                f"channel rank starved: {_RESAMPLE_CAP} redraws gave fewer "
+                f"than {d} usable streams; check beta, n_paths and spacing")
 
         z = encode_batch(self.params, x)
         y = lam[:, None, :, None] * z

@@ -1,8 +1,10 @@
+import dataclasses
 import multiprocessing
 
 import numpy as np
 import pytest
 
+from bicmb_pc import cli
 from bicmb_pc.analysis import pep_bound, zeta_min
 from bicmb_pc.cli import load_config, main
 from bicmb_pc.fec import QamConstellation
@@ -170,10 +172,21 @@ def test_selftest_passes(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
-def test_selftest_corruption_hook_fails(capsys):
-    assert main(["selftest", "--corrupt-generator"]) == 1
-    err = capsys.readouterr()
-    assert "FAIL" in err.out
+def test_selftest_corruption_hook_fails(monkeypatch, capsys):
+    # negative control: a perturbed D=2 generator must trip the checks
+    def perturbed(d):
+        params = build_params(d)
+        if d != 2:
+            return params
+        g = params.generator.copy()
+        g[0, 0] *= 1.001
+        return dataclasses.replace(params, generator=g)
+
+    monkeypatch.setattr(cli, "build_params", perturbed)
+    assert main(["selftest"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL generator unitary (d=2)" in out
+    assert "FAIL codeword energy preserved (d=2)" in out
 
 
 def test_missing_config_is_reported(tmp_path, capsys):
@@ -309,6 +322,20 @@ def test_bad_scalar_value_names_file_line_and_key(config_file, tmp_path, capsys)
     assert rc == 1
     assert capsys.readouterr().err == \
         f"error: {path}:{line}: n_t must be an integer, got '16.0'\n"
+
+
+@pytest.mark.parametrize("line,bad,problem", [
+    ("n_paths = 2 2; 2 2", "n_paths = 2.5 2; 2 2", "n_paths must be an integer, got '2.5'"),
+    ("beta = 0.01 0.01; 0.01 0.01", "beta = 0.01 0.01; 0.01 x", "beta must be a number, got 'x'"),
+])
+def test_bad_grid_entry_reads_like_a_scalar_error(tmp_path, capsys, line, bad, problem):
+    path = tmp_path / "grid.cfg"
+    path.write_text(BASE_CONFIG.replace(line, bad))
+    ln = BASE_CONFIG.splitlines().index(line) + 1
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {path}:{ln}: {problem}\n"
 
 
 def test_repeated_key_names_both_lines(config_file, tmp_path, capsys):

@@ -28,7 +28,7 @@ def brute_metrics(y_group, m_mat, constellation):
         umin = min(umin, cost)
         for m in range(d):
             for j in range(bps):
-                b = constellation.qam_bit_label(combo[m], j)
+                b = constellation.label_bits[combo[m], j]
                 gamma[m, j, b] = min(gamma[m, j, b], cost)
     return gamma, umin
 
@@ -51,7 +51,7 @@ def sphere_metrics(qobs, r, constellation):
         best, labels = _search(q, r, diag_images, c.points, [full] * d, np.inf)
         for m in range(d):
             for j in range(bps):
-                hit = c.qam_bit_label(int(labels[m]), j)
+                hit = c.label_bits[labels[m], j]
                 gamma[g, m, j, hit] = best
                 subset = c.subset_indices[j, 1 - hit]
                 x = c.points[labels]
@@ -313,7 +313,7 @@ def test_noiseless_metrics_vanish_at_true_bits(d):
     for v in range(d):
         for m in range(d):
             for j in range(c.bits_per_symbol):
-                b = c.qam_bit_label(int(labels[v, m]), j)
+                b = c.label_bits[labels[v, m], j]
                 assert gamma[v, m, j, b] == pytest.approx(0.0, abs=1e-18)
                 assert gamma[v, m, j, 1 - b] > 1e-4
 

@@ -286,8 +286,28 @@ def test_qam16_axis_levels():
 def test_qam_bit_label_round_trip():
     c = QamConstellation(16)
     for label in range(16):
-        bits = [c.qam_bit_label(label, j) for j in range(4)]
-        assert qam_map(c, bits) == pytest.approx(c.points[label])
+        assert qam_map(c, c.label_bits[label]) == pytest.approx(c.points[label])
+
+
+@pytest.mark.parametrize("order", [4, 16])
+def test_label_tables_agree_with_points(order):
+    c = QamConstellation(order)
+    bps = c.bits_per_symbol
+    assert np.all(np.diff(c.levels) > 0)
+    assert np.array_equal(c.levels[c.axis_level[0]], c.points.real)
+    assert np.array_equal(c.levels[c.axis_level[1]], c.points.imag)
+    assert c.bit_axis.tolist() == [0] * (bps // 2) + [1] * (bps // 2)
+    for label in range(order):
+        for j in range(bps):
+            flipped = label ^ (1 << (bps - 1 - j))
+            ax = c.bit_axis[j]
+            # a bit moves its own axis's level and leaves the other axis alone
+            assert c.axis_level[ax, flipped] != c.axis_level[ax, label]
+            assert c.axis_level[1 - ax, flipped] == c.axis_level[1 - ax, label]
+    for table in (c.label_bits, c.axis_level, c.levels, c.bit_axis, c.points,
+                  c.subset_indices):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 0
 
 
 def test_qam_subsets_partition_labels():
@@ -299,7 +319,7 @@ def test_qam_subsets_partition_labels():
         assert s0 | s1 == set(range(16))
         assert not s0 & s1
         for label in s1:
-            assert c.qam_bit_label(label, j) == 1
+            assert c.label_bits[label, j] == 1
 
 
 def test_qam_map_bits_vectorized_matches_scalar():
@@ -336,7 +356,5 @@ def test_qam_rejects_unsupported_order():
         with pytest.raises(ValueError):
             bits_per_symbol(order)
     c = QamConstellation(16)
-    with pytest.raises(ValueError):
-        c.qam_bit_label(16, 0)
     with pytest.raises(ValueError):
         c.map_bits(np.zeros(7, dtype=np.uint8))

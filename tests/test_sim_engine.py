@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import multiprocessing
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from bicmb_pc import sim_engine
+from bicmb_pc.channel_model import draw_paths
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
@@ -252,6 +254,29 @@ def test_stop_rules():
     res2 = run_ber_point(eager, snr_db=-20.0)
     assert res2.frames == 4
     assert res2.bit_errors >= 5
+
+
+def test_forced_redraws_are_pinned(monkeypatch):
+    """Redrawn channels come from each frame's own stream, pinned on seed 0.
+
+    A value-only degeneracy rule flags about a quarter of the draws, so
+    some frames are redrawn more than once; the counts also pin the noise
+    and detection that follow the redraws.
+    """
+    drawn_by = []
+
+    def spy(rng, *args):
+        drawn_by.append(rng)
+        return draw_paths(rng, *args)
+
+    monkeypatch.setattr(sim_engine, "is_degenerate", lambda lam: lam[..., -1] < 1.0)
+    monkeypatch.setattr(sim_engine, "draw_paths", spy)
+    cfg = SystemConfig(nominal_info_bits=128, batch_frames=8, max_frames=16,
+                       target_bit_errors=10 ** 6)
+    res = run_ber_point(cfg, snr_db=16.0)
+    assert (res.frames, res.info_bits, res.bit_errors) == (16, 1952, 385)
+    per_frame = collections.Counter(map(id, drawn_by))      # drawn_by keeps each rng alive
+    assert sorted(per_frame.values()) == [1] * 13 + [2, 2, 4]
 
 
 def test_sweep_and_csv_round_trip(tmp_path):
