@@ -11,8 +11,8 @@ nonnegative diagonal, so with x_2..x_d fixed the cost of x_1 is
 r11^2 |t - x_1|^2, separable into I and Q terms.  The layered orthogonal
 lattice detector (LORD) thus enumerates only the K^(d-1) candidates for
 x_2..x_d and slices x_1 per axis, in chunks of a fixed number of (group,
-candidate) pairs so memory stays bounded for any batch.  Where K^(d-1)
-exceeds LORD_GRID_MAX (d = 6 with 16-QAM), the top layers are enumerated
+candidate) pairs so memory stays bounded for any batch.  Where the grid
+alone exceeds one chunk (d = 6 with 16-QAM), the top layers are enumerated
 first and only prefixes within an achievable cost of their group are kept
 (the clipping radius of Studer & Bolcskei, JSAC 2008), so the same grid
 code finishes each surviving prefix and the minima stay exact.
@@ -25,9 +25,8 @@ from .fec import QamConstellation
 from .pstbc import PerfectCodeParams
 
 
-# LORD grid size K^(d-1) above which the top layers are peeled first
-LORD_GRID_MAX = 4096
-# (group, candidate) pairs per LORD chunk; bounds the detector's memory
+# (group, candidate) pairs per LORD chunk; bounds the detector's memory, and
+# top layers are peeled until the remaining grid fits in one chunk
 _CHUNK_PAIRS = 1 << 15
 # relative slack on the pruning radius, so rounding never drops a minimizer
 _SLACK = 1e-9
@@ -87,13 +86,14 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray,
                  constellation: QamConstellation) -> np.ndarray:
     """Exact subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma.
 
-    While K^(d-1) exceeds LORD_GRID_MAX one more top layer is peeled; the
-    peeled path runs frame by frame on chunks of groups.
+    While the grid K^(d-1-peel) exceeds one chunk of _CHUNK_PAIRS one more
+    top layer is peeled; the peeled path runs frame by frame on chunks of
+    groups.
     """
     c = constellation
     n_frames, n, d = qobs.shape
     peel = 0
-    while c.order ** (d - 1 - peel) > LORD_GRID_MAX:
+    while c.order ** (d - 1 - peel) > _CHUNK_PAIRS:
         peel += 1
     if not peel:
         return _lord_grid(qobs, r, c)

@@ -5,6 +5,11 @@ supplied by the detector, so any soft metric that is additive over coded
 bits can drive it.  Frames are closed with tail zeros, the survivor path is
 traced back from the all-zero state.
 
+GENERATORS become taps in one place, the (2, K) table _TAPS.  conv_encode
+reads it to encode a whole (frames, bits) block with one shifted XOR per
+nonzero tap, and _tables() reads it to label the trellis branches, so the
+encoder and the decoder share one definition of the code.
+
 The trellis runs as butterflies with frames on the innermost axis: states
 2j and 2j + 1 feed states j and 32 + j, so one step is one broadcast add,
 one compare and one minimum over (2, 2, 32, n_frames) candidates.  Branch
@@ -30,31 +35,26 @@ N_STATES = 1 << (K - 1)
 N_TAIL = K - 1      # zero bits that flush the register back to state 0
 _CHUNK = 8          # trellis steps whose branch metrics are built at once
 
+# _TAPS[i, k] = 1 where coded output i sees the input bit from k steps back;
+# the block encoder and the trellis tables both read it.
+_TAPS = (np.array(GENERATORS)[:, None] >> np.arange(K - 1, -1, -1)) & 1
+_TAPS.setflags(write=False)
+
 
 @lru_cache(maxsize=None)
 def _tables():
     """next_state[s, b], out0[s, b], out1[s, b] and the butterfly label table.
 
     New state h*32 + j is reached from states 2j and 2j + 1 on input bit h
-    (the input enters the register's MSB).  lab[p, h, j] = 2*out0 + out1 is
-    the coded pair, as a 2-bit label, on the branch from 2j + p to h*32 + j.
+    (the input enters the register's MSB, so register bit p is the input
+    from K - 1 - p steps back).  lab[p, h, j] = 2*out0 + out1 is the coded
+    pair, as a 2-bit label, on the branch from 2j + p to h*32 + j.
     """
-    n = N_STATES
-    states = np.arange(n, dtype=np.int64)
-    nxt = np.zeros((n, 2), dtype=np.int64)
-    out0 = np.zeros((n, 2), dtype=np.int64)
-    out1 = np.zeros((n, 2), dtype=np.int64)
-    for b in (0, 1):
-        reg = (b << (K - 1)) | states          # current input in the MSB
-        nxt[:, b] = reg >> 1
-        for gen, out in zip(GENERATORS, (out0, out1)):
-            acc = reg & gen
-            # popcount parity
-            par = np.zeros(n, dtype=np.int64)
-            for i in range(K):
-                par ^= (acc >> i) & 1
-            out[:, b] = par
-    pred = 2 * np.arange(n // 2) + np.arange(2)[:, None]       # pred[p, j]
+    reg = (np.arange(2) << (K - 1)) | np.arange(N_STATES)[:, None]     # reg[s, b]
+    window = (reg[..., None] >> np.arange(K - 1, -1, -1)) & 1          # k steps back
+    nxt = reg >> 1
+    out0, out1 = np.tensordot(_TAPS, window, (1, 2)) % 2
+    pred = 2 * np.arange(N_STATES // 2) + np.arange(2)[:, None]        # pred[p, j]
     lab = (2 * out0 + out1)[pred[:, None, :], np.arange(2)[:, None]]
     for table in (nxt, out0, out1, lab):
         table.setflags(write=False)
@@ -62,21 +62,22 @@ def _tables():
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
-    """Encode from the all-zero state; returns 2*len(bits) coded bits.
+    """Encode every row along the last axis from the all-zero state.
 
-    Tail bits that flush the register are the caller's responsibility.
+    bits (..., n) gives (..., 2n) coded bits, the two outputs of each step
+    adjacent.  Tail bits that flush the register are the caller's
+    responsibility.
     """
     b = np.asarray(bits)
-    if b.ndim != 1:
-        raise ValueError("bits must be a 1-d array")
-    if b.size and not np.isin(b, (0, 1)).all():
+    if b.ndim == 0:
+        raise ValueError("bits must have at least one axis")
+    if not ((b == 0) | (b == 1)).all():
         raise ValueError("bits must be 0/1")
-    b = b.astype(np.uint8)
-    out = np.empty(2 * b.size, dtype=np.uint8)
-    for which, gen in enumerate(GENERATORS):
-        taps = ((gen >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
-        out[which::2] = np.convolve(b, taps)[: b.size] % 2
-    return out
+    b, n = b.astype(np.uint8), b.shape[-1]
+    out = np.zeros((2,) + b.shape, dtype=np.uint8)
+    for i, k in zip(*np.nonzero(_TAPS[:, :n])):        # one shifted XOR per tap
+        out[i, ..., k:] ^= b[..., :n - k]
+    return np.stack(tuple(out), axis=-1).reshape(b.shape[:-1] + (2 * n,))
 
 
 def free_distance() -> int:

@@ -40,6 +40,7 @@ from .fec import (N_TAIL, Interleaver, QamConstellation, bits_per_symbol, conv_e
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 
 _RESAMPLE_CAP = 1000
+_BLOCK_FRAMES = 64          # frames simulated at once; bounds a batch's memory
 _DEGENERATE_REL_TOL = 1e-12
 
 
@@ -52,7 +53,10 @@ def is_degenerate(lam: np.ndarray):
 def noise_variance(total_tx: int, snr_db: float) -> float:
     if total_tx < 1:
         raise ValueError("total_tx must be positive")
-    return total_tx / (10.0 ** (snr_db / 10.0))
+    try:
+        return total_tx / (10.0 ** (float(snr_db) / 10.0))
+    except ArithmeticError:     # 10 ** (snr/10) overflowed, or underflowed to zero
+        raise ValueError(f"SNR {snr_db} dB is out of floating-point range") from None
 
 
 def cn_noise(rng: np.random.Generator, shape: tuple, n0: float) -> np.ndarray:
@@ -180,16 +184,24 @@ class _FramePipeline:
         """Simulate frames [frame_start, frame_start + n_frames).
 
         Returns (info_bits_total, bit_errors_total).  snr_db = inf is noiseless.
+        Frames are independent and run in blocks of at most _BLOCK_FRAMES,
+        so memory stays bounded for any batch size.
         """
+        n0 = noise_variance(self.geom.total_tx, snr_db)
+        stop = frame_start + n_frames
+        errors = sum(self._run_block(n0, snr_index, start, min(_BLOCK_FRAMES, stop - start))
+                     for start in range(frame_start, stop, _BLOCK_FRAMES))
+        return n_frames * self.config.n_info, errors
+
+    def _run_block(self, n0: float, snr_index: int, frame_start: int, n_frames: int) -> int:
+        """Bit errors of frames [frame_start, frame_start + n_frames) at noise n0."""
         cfg = self.config
         d, n_info, n_codewords = cfg.dim, cfg.n_info, cfg.n_codewords
-        n0 = noise_variance(self.geom.total_tx, snr_db)
         rngs = [np.random.default_rng([cfg.master_seed, 1, snr_index, frame_start + i])
                 for i in range(n_frames)]
 
         info = np.stack([r.integers(0, 2, n_info) for r in rngs]).astype(np.uint8)
-        padded = np.pad(info, ((0, 0), (0, N_TAIL)))
-        coded = np.stack([conv_encode(row) for row in padded])
+        coded = conv_encode(np.pad(info, ((0, 0), (0, N_TAIL))))
         inter = coded[:, self.ivl.permutation]
         x = self.constellation.map_bits(inter).reshape(n_frames, n_codewords, d, d)
 
@@ -217,7 +229,7 @@ class _FramePipeline:
         # gamma rows (group, position, bit slot) run in mapped coded-bit order
         gamma = engine.bit_metrics(groups).reshape(n_frames, -1, 2)
         decoded = viterbi_decode_batch(gamma[:, self.deint_rows])
-        return n_frames * n_info, int((decoded != info).sum())
+        return int((decoded != info).sum())
 
 
 def _batch_worker(config: SystemConfig, *batch):

@@ -1,12 +1,26 @@
-"""Test-side references: the dense channel, channel-power draws, BER crossing.
+"""Test-side references: the dense channel, channel-power draws, BER crossing,
+and a frame-at-a-time convolutional encoder.
 
 The package never forms the dense channel or samples the channel power on
 its own; these helpers exist so tests can check the path-core shortcuts
-and read SNR shifts off simulated curves.
+and read SNR shifts off simulated curves.  conv_encode_reference derives
+its taps from GENERATORS on its own, so it checks the package's shared
+tap table rather than reading it.
 """
 import numpy as np
 
 from bicmb_pc.channel_model import ArrayGeometry, draw_paths, path_core
+from bicmb_pc.fec import GENERATORS, K
+
+
+def conv_encode_reference(bits) -> np.ndarray:
+    """One frame (1-d 0/1 bits) encoded by np.convolve per generator."""
+    b = np.asarray(bits).astype(np.uint8)
+    out = np.empty(2 * b.size, dtype=np.uint8)
+    for which, gen in enumerate(GENERATORS):
+        taps = ((gen >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
+        out[which::2] = np.convolve(b, taps)[: b.size] % 2
+    return out
 
 
 def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,

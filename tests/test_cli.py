@@ -127,6 +127,16 @@ def test_sweep_rejects_non_finite_snr_flags(config_file, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_sweep_rejects_out_of_range_snr(config_file, tmp_path, capsys, snr):
+    rc = main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", snr, "--snr-max", snr])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"SNR {float(snr)} dB" in err
+
+
 def test_analyze_reports_diversity(config_file, tmp_path, capsys):
     out = tmp_path / "res.csv"
     main(["sweep", "--config", str(config_file), "--out", str(out),

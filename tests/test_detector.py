@@ -211,8 +211,8 @@ def test_sphere_matches_exhaustive(order, d):
 @pytest.mark.parametrize("order,d", [(16, 3), (4, 4)])
 @pytest.mark.parametrize("limit", [16, 4])
 def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
-    """With the grid limit lowered, peeling one or two layers stays exact."""
-    monkeypatch.setattr(detector, "LORD_GRID_MAX", limit)
+    """With the chunk lowered to the grid limit, peeling one or two layers stays exact."""
+    monkeypatch.setattr(detector, "_CHUNK_PAIRS", limit)
     rng = np.random.default_rng(300 + 10 * d + limit)
     params = build_params(d)
     c = QamConstellation(order)
@@ -257,7 +257,7 @@ def test_peeling_only_above_lord_grid_limit(monkeypatch):
     assert calls == []
     MetricEngine(build_params(6), QamConstellation(16),
                  np.ones((3, 6))).bit_metrics(np.zeros((3, 2, 6)))
-    assert calls == [((2, 6), 2)] * 3            # 16^5 > 4096 >= 16^3
+    assert calls == [((2, 6), 2)] * 3            # 16^4 > _CHUNK_PAIRS >= 16^3
 
 
 def test_detector_memory_is_bounded():

@@ -16,6 +16,7 @@ from bicmb_pc.fec import (
     viterbi_decode_batch,
     _tables,
 )
+from oracles import conv_encode_reference
 
 
 def _encode_frame(info_bits):
@@ -93,7 +94,29 @@ def test_encode_rejects_bad_bits():
     with pytest.raises(ValueError):
         conv_encode(np.array([0, 1, 2]))
     with pytest.raises(ValueError):
-        conv_encode(np.zeros((4, 2)))
+        conv_encode(np.array(1))                # 0-d: no bit axis
+
+
+def test_block_encoder_matches_reference():
+    rng = np.random.default_rng(23)
+    for shape in ((64, 1030), (3, 5, 40), (2, 4), (50,)):
+        block = rng.integers(0, 2, shape)
+        got = conv_encode(block)
+        assert got.shape == shape[:-1] + (2 * shape[-1],) and got.dtype == np.uint8
+        rows, ref_rows = got.reshape(-1, got.shape[-1]), block.reshape(-1, shape[-1])
+        for row, bits in zip(rows, ref_rows):
+            assert np.array_equal(row, conv_encode_reference(bits))
+
+
+def test_trellis_outputs_are_the_encoders_last_pair():
+    """out0/out1 and next_state agree with the encoder on each register history."""
+    nxt, out0, out1, _ = _tables()
+    reg = (np.arange(2) << (K - 1)) | np.arange(N_STATES)[:, None]     # reg[s, b]
+    history = (reg[..., None] >> np.arange(K)) & 1       # oldest bit first
+    coded = conv_encode(history)
+    assert np.array_equal(coded[..., -2], out0)
+    assert np.array_equal(coded[..., -1], out1)
+    assert np.array_equal(reg >> 1, nxt)
 
 
 def test_encode_is_linear_over_gf2():

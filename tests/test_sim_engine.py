@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import multiprocessing
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,3 +336,24 @@ def test_awgn_calibration_quick():
 def test_point_result_ber_property():
     r = PointResult(snr_db=10.0, frames=2, info_bits=1000, bit_errors=5)
     assert r.ber == 0.005
+
+
+def test_large_batch_equals_its_blocks():
+    pipe = sim_engine._FramePipeline(SMALL)
+    whole = pipe.run_batch(6.0, 0, 0, 1024)
+    blocks = [pipe.run_batch(6.0, 0, start, 64) for start in range(0, 1024, 64)]
+    assert whole == tuple(map(sum, zip(*blocks)))
+
+
+def test_batch_memory_does_not_grow_with_frames():
+    pipe = sim_engine._FramePipeline(SMALL)
+    pipe.run_batch(6.0, 0, 0, 1)                # build the cached tables
+    peaks = []
+    for n_frames in (64, 1024):
+        tracemalloc.start()
+        try:
+            pipe.run_batch(6.0, 0, 0, n_frames)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0]
