@@ -9,6 +9,9 @@ A channel is kept as its path factors, H = a_r diag(gain) a_t^H with one
 block-placed steering column per path, so rank(H) <= P = total paths.
 path_core reduces those factors to a P x P core with the same nonzero
 singular values and Frobenius norm as H, so the dense H is never formed.
+draw_paths draws a stack of channels, one per generator: each generator
+draws its own path parameters, and the steering vectors of the whole stack
+are built and placed in one call per side.
 """
 from __future__ import annotations
 
@@ -65,6 +68,11 @@ def _draw_block(rng: np.random.Generator, n_paths: int):
     return aoa, aod, alpha
 
 
+def _draw_frame(rng: np.random.Generator, counts: np.ndarray):
+    """One channel's (aoa, aod, alpha), blocks of counts[i] paths drawn in order."""
+    return tuple(map(np.concatenate, zip(*(_draw_block(rng, n) for n in counts))))
+
+
 def _check_beta(beta, geom: ArrayGeometry) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     if b.shape != (geom.l_r, geom.l_t):
@@ -89,25 +97,30 @@ def _check_paths(n_paths, geom: ArrayGeometry) -> np.ndarray:
 
 
 def _place(resp: np.ndarray, block: np.ndarray, total: int) -> np.ndarray:
-    """(total, P) matrix with resp[p] in rows block[p]*n .. + n of column p."""
-    n_p, n = resp.shape
-    out = np.zeros((total, n_p), dtype=complex)
-    out[block[:, None] * n + np.arange(n), np.arange(n_p)[:, None]] = resp
+    """(..., total, P) matrices with resp[..., p, :] in rows block[p]*n .. + n of column p."""
+    *lead, n_p, n = resp.shape
+    out = np.zeros((*lead, total, n_p), dtype=complex)
+    out[..., block[:, None] * n + np.arange(n), np.arange(n_p)[:, None]] = resp
     return out
 
 
-def draw_paths(rng: np.random.Generator, geom: ArrayGeometry, beta, n_paths):
-    """Path factors (a_r, gain, a_t) of one stacked channel.
+def draw_paths(rngs, geom: ArrayGeometry, beta, n_paths):
+    """Stacked path factors (a_r, gain, a_t), one channel per generator in rngs.
 
-    H = a_r diag(gain) a_t^H, with a_r (total_rx, P) and a_t (total_tx, P)
-    holding unit-norm steering columns placed in their subarray's rows and
-    gain[p] = sqrt(beta_ij n_t n_r / L_ij) alpha_p.  Blocks are drawn in
-    row-major order, AoA, AoD and gain per block.  n_paths may be a scalar
+    Channel f is H_f = a_r[f] diag(gain[f]) a_t[f]^H, with a_r (F, total_rx, P)
+    and a_t (F, total_tx, P) holding unit-norm steering columns placed in
+    their subarray's rows and gain[f, p] = sqrt(beta_ij n_t n_r / L_ij)
+    alpha_p.  Each generator draws its own channel's blocks in row-major
+    order, AoA, AoD and gain per block; the steering vectors of all
+    channels are then built in one call per side.  n_paths may be a scalar
     or an (l_r, l_t) grid of per-block counts.
     """
     b = _check_beta(beta, geom).ravel()
     p = _check_paths(n_paths, geom).ravel()
-    aoa, aod, alpha = map(np.concatenate, zip(*(_draw_block(rng, n) for n in p)))
+    draws = [_draw_frame(rng, p) for rng in rngs]
+    if not draws:
+        raise ValueError("rngs must hold at least one generator")
+    aoa, aod, alpha = map(np.stack, zip(*draws))        # (F, P) each
     rows, cols = np.divmod(np.repeat(np.arange(p.size), p), geom.l_t)
     gain = np.sqrt(np.repeat(b * (geom.n_t * geom.n_r) / p, p)) * alpha
     a_r = _place(array_response(geom.n_r, aoa, geom.spacing), rows, geom.total_rx)

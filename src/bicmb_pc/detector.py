@@ -28,6 +28,10 @@ from .pstbc import PerfectCodeParams
 # (group, candidate) pairs per LORD chunk; bounds the detector's memory, and
 # top layers are peeled until the remaining grid fits in one chunk
 _CHUNK_PAIRS = 1 << 15
+# grids of at most this many candidates put the candidate axis ahead of a
+# chunk's (frame, group) pairs: numpy reduces leading slabs far faster than
+# a short trailing axis, but a larger grid leaves too few pairs per slab
+_LEAD_MAX = _CHUNK_PAIRS // 32
 # relative slack on the pruning radius, so rounding never drops a minimizer
 _SLACK = 1e-9
 
@@ -151,42 +155,67 @@ def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.
 
 
 def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarray:
-    """LORD over the full K^(d-1) grid of x_2..x_d, per frame chunk."""
+    """LORD over the full K^(d-1) grid of x_2..x_d, per chunk of (frame, group) pairs.
+
+    Chunk arrays lead with their row or level axis.  While the grid has at
+    most _LEAD_MAX candidates the candidate axis comes next and the chunk's
+    (frame, group) pairs last and contiguous, so every reduction adds or
+    compares whole slabs; a larger grid leaves few pairs per chunk, and
+    there the candidate axis goes last.  The minima are the same either way.
+    """
     n_frames, n, d = qobs.shape
     k, bps = c.order, c.bits_per_symbol
     rest = c.grid(d - 1)                # x_2..x_d candidates
     n_cand = rest.shape[1]
+    lead = n_cand <= _LEAD_MAX
+
+    def layout(x):
+        """(..., cand, f, g) as a chunk holds it: moved to (..., f, g, cand) unless cand leads."""
+        return x if lead else np.moveaxis(x, -3, -1)
+
+    cax = 0 if lead else 2              # candidate axis of a laid-out (cand, f, g)
+    label_axes = list(range(cax, cax + d - 1))      # x_2..x_d once cand splits
+    n_levels = c.levels.size
     levels = c.levels[:, None, None, None]
-    level_i, level_q = c.axis_level
-    # candidate grid axes to reduce over for each of x_2..x_d
-    other_axes = [tuple(ax for ax in range(-(d - 1), 0) if ax != m - d)
-                  for m in range(1, d)]
 
     gamma = np.empty((n_frames, n, d, bps, 2))
     frame_step = max(1, _CHUNK_PAIRS // max(1, n * n_cand))
     group_step = max(1, min(n, _CHUNK_PAIRS // n_cand))
     for f0 in range(0, n_frames, frame_step):
         rf = r[f0:f0 + frame_step]
-        images = (rf[:, :, 1:] @ rest)[:, None]        # (f, 1, d, cand)
-        r11 = rf[:, 0, 0].real[:, None, None]
+        images = (rf[:, :, 1:] @ rest).transpose(1, 2, 0)[..., None]    # (d, cand, f, 1)
+        im_re = np.ascontiguousarray(layout(images.real))
+        im_im = np.ascontiguousarray(layout(images.imag))
+        r11_levels = layout(rf[None, :, 0, 0, None].real) * levels
+        # real and imaginary parts apart, (d, f, n) each: the costs below are
+        # sums of per-component squares, as the complex arithmetic gives them
+        qf = np.moveaxis(qobs[f0:f0 + frame_step], -1, 0)
+        q_re, q_im = np.ascontiguousarray(qf.real), np.ascontiguousarray(qf.imag)
         for g0 in range(0, n, group_step):
-            q = qobs[f0:f0 + frame_step, g0:g0 + group_step]
-            resid = q[..., 1:, None] - images[..., 1:, :]
-            tail = (resid.real ** 2 + resid.imag ** 2).sum(axis=-2)   # rows 2..d
-            a = q[..., :1] - images[..., 0, :]        # row 1 target for r11 x_1
-            dist_i = (a.real - r11 * levels) ** 2     # (level, f, g, cand)
-            dist_q = (a.imag - r11 * levels) ** 2
+            chunk = np.s_[:, None, :, g0:g0 + group_step]
+            re = layout(q_re[chunk]) - im_re
+            im = layout(q_im[chunk]) - im_im
+            tail = (re[1:] ** 2 + im[1:] ** 2).sum(axis=0)     # rows 2..d
+            # row 1: r11^2 (t - x_1)^2 splits into a cost per I and per Q level
+            dist_i = re[0] - r11_levels
+            np.square(dist_i, out=dist_i)
+            dist_q = im[0] - r11_levels
+            np.square(dist_q, out=dist_q)
             min_i, min_q = dist_i.min(axis=0), dist_q.min(axis=0)
-            # x_1 tables per axis: best cost with x_1's I (or Q) level set by
-            # the label; a Gray bit on one axis leaves the other axis free
-            x1 = (np.moveaxis((tail + min_q + dist_i).min(axis=-1)[level_i], 0, -1),
-                  np.moveaxis((tail + min_i + dist_q).min(axis=-1)[level_q], 0, -1))
-            best = (tail + min_i + min_q).reshape(q.shape[:2] + (d - 1) * (k,))
-            per_label = [None] + [best.min(axis=axes) for axes in other_axes]
-            out = gamma[f0:f0 + frame_step, g0:g0 + group_step]
-            for m in range(d):
-                for j in range(bps):
-                    table = per_label[m] if m else x1[c.bit_axis[j]]
-                    for b in (0, 1):
-                        out[..., m, j, b] = table[..., c.subset_indices[j, b]].min(axis=-1)
+            # level tables (layer, axis, level, f, g): the best cost with that
+            # layer's I (or Q) level fixed; x_1's come straight from the grid
+            tables = np.empty((d, 2, n_levels) + q_re[chunk].shape[2:])
+            np.add(tail + min_q, dist_i, out=dist_i).min(axis=cax + 1, out=tables[0, 0])
+            np.add(tail + min_i, dist_q, out=dist_q).min(axis=cax + 1, out=tables[0, 1])
+            best = tail + min_i + min_q
+            best = best.reshape(best.shape[:cax] + (d - 1) * (k,) + best.shape[cax + 1:])
+            for m in range(1, d):
+                label = best.min(axis=tuple(label_axes[:m - 1] + label_axes[m:]))
+                label = np.moveaxis(label, cax, 0)[c.by_level]
+                label = label.reshape((n_levels, n_levels) + label.shape[1:])
+                label.min(axis=1, out=tables[m, 0])
+                label.min(axis=0, out=tables[m, 1])
+            # a Gray bit fixes half the levels of its own axis
+            out = np.moveaxis(gamma[f0:f0 + frame_step, g0:g0 + group_step], (2, 3, 4), (0, 1, 2))
+            tables[:, c.bit_axis[:, None, None], c.level_subsets].min(axis=3, out=out)
     return gamma

@@ -15,11 +15,20 @@ The trellis runs as butterflies with frames on the innermost axis: states
 one compare and one minimum over (2, 2, 32, n_frames) candidates.  Branch
 metrics are built for a chunk of steps at a time from the 4 possible coded
 pairs, and each step's 64 survivor decisions per frame are packed into one
-uint64, which the traceback reads with shifts and masks.
+uint64, packbits running along the last axis of a (steps, frames, states)
+copy.  The traceback reads them with in-place shifts and masks; the
+decision d_t of the survivor state at step t is the low bit of its
+predecessor, which is the input of step t - 6, so u_(t-6) = d_t is read
+off directly with no separate bit extraction.
+
+There is no radix-4 (two steps per pass) trellis: the tie rule (lower
+predecessor wins) needs the step-1 decisions on the pm + b1 sums, so two
+fused steps would do the same adds and compares as two single ones.
 
 QamConstellation is the one owner of the Gray labeling: it builds the label
-bits, per-axis level indices, axis levels and bit-to-axis tables once, and
-the detector, zeta_min and the self checks read those tables.
+bits, per-axis level indices, axis levels, bit-to-axis and per-bit level
+subset tables once, and the detector, zeta_min and the self checks read
+those tables.
 """
 from __future__ import annotations
 
@@ -145,17 +154,25 @@ def viterbi_decode_batch(metrics: np.ndarray) -> np.ndarray:
             np.add(pm_pairs, blk[t], out=cand)
             np.less(cand1, cand0, out=choice_hj[t])
             np.minimum(cand0, cand1, out=pm_next)
-        # bit s of packed[t, f] is the decision of state s
-        octets = np.packbits(choice[:n], axis=1, bitorder="little")
-        packed[t0:t0 + n] = octets.transpose(0, 2, 1).copy().view("<u8")[..., 0]
+        # bit s of packed[t, f] is the decision of state s: pack the last
+        # axis of a contiguous (steps, frames, states) copy
+        states_last = np.ascontiguousarray(choice[:n].transpose(0, 2, 1))
+        packed[t0:t0 + n] = np.packbits(states_last, axis=-1, bitorder="little") \
+            .view("<u8")[..., 0]
         del blk     # free before the next chunk's gather
 
-    bits = np.empty((steps, n_frames), dtype=np.uint8)
+    # the survivor's decision d_t at step t is its predecessor's low bit,
+    # the input of step t - N_TAIL: bits[t - N_TAIL] = d_t
+    bits = np.empty((steps - N_TAIL, n_frames), dtype=np.uint64)
     state = np.zeros(n_frames, dtype=np.uint64)
-    for t in range(steps - 1, -1, -1):
-        bits[t] = state >> (K - 2)
-        state = ((state & (half - 1)) << 1) | ((packed[t] >> state) & 1)
-    return bits[: steps - N_TAIL].T.copy()
+    for t in range(steps - 1, N_TAIL - 1, -1):
+        d_t = bits[t - N_TAIL]
+        np.right_shift(packed[t], state, out=d_t)
+        np.bitwise_and(d_t, 1, out=d_t)
+        np.left_shift(state, 1, out=state)
+        np.bitwise_or(state, d_t, out=state)
+        np.bitwise_and(state, N_STATES - 1, out=state)
+    return bits.T.astype(np.uint8)
 
 
 class Interleaver:
@@ -202,7 +219,11 @@ class QamConstellation:
       Q (a = 1) coordinate;
     - levels: the sorted per-axis amplitudes, the same on both axes;
     - bit_axis[j]: the axis bit j addresses;
-    - subset_indices[j, b]: the labels whose bit j equals b, ascending.
+    - subset_indices[j, b]: the labels whose bit j equals b, ascending;
+    - by_level: the labels ordered by (I level, Q level), so a per-label
+      table taken in this order reshapes to (levels, levels);
+    - level_subsets[j, b]: the levels, on axis bit_axis[j], of the labels
+      whose bit j equals b, ascending (half the levels of that axis).
     """
 
     def __init__(self, order: int = 16):
@@ -222,8 +243,16 @@ class QamConstellation:
         # a stable sort of each bit column lists the bit-0 labels, then the bit-1 labels
         self.subset_indices = np.argsort(self.label_bits.T, axis=-1, kind="stable") \
             .reshape(bps, 2, order // 2)
+        self.by_level = np.lexsort(self.axis_level[::-1])
+        # one label per level of each bit's axis (the other axis at level 0),
+        # sorted into bit-0 levels, then bit-1 levels, as subset_indices is
+        grid = self.by_level.reshape(1 << side, 1 << side)
+        level_labels = np.stack([grid[:, 0], grid[0]])[self.bit_axis]
+        level_bits = np.take_along_axis(self.label_bits.T, level_labels, axis=1)
+        self.level_subsets = np.argsort(level_bits, axis=-1, kind="stable") \
+            .reshape(bps, 2, 1 << (side - 1))
         for table in (self.label_bits, self.bit_axis, self.axis_level, self.points,
-                      self.levels, self.subset_indices):
+                      self.levels, self.subset_indices, self.by_level, self.level_subsets):
             table.setflags(write=False)
 
     def map_bits(self, bits: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
 because W has orthonormal columns, so frames are simulated in that reduced
 form.  The singular values come from each channel's P x P path core
 (channel_model.path_core), one batched SVD per batch; no dense H is built.
+A block's channels come from one draw_paths call and its noise from one
+cn_noise call; each frame's generator still makes its own draws in order.
 Noise follows n0 = total_tx / snr.  A channel whose weakest used singular
 value is numerically zero is redrawn from the same frame stream.
 """
@@ -51,19 +53,28 @@ def is_degenerate(lam: np.ndarray):
 
 
 def noise_variance(total_tx: int, snr_db: float) -> float:
+    """n0 = total_tx / 10^(snr_db / 10); snr_db = inf gives 0 (noiseless)."""
     if total_tx < 1:
         raise ValueError("total_tx must be positive")
+    if np.isnan(float(snr_db)):
+        raise ValueError(f"SNR {snr_db} dB is not a number")
     try:
         return total_tx / (10.0 ** (float(snr_db) / 10.0))
     except ArithmeticError:     # 10 ** (snr/10) overflowed, or underflowed to zero
         raise ValueError(f"SNR {snr_db} dB is out of floating-point range") from None
 
 
-def cn_noise(rng: np.random.Generator, shape: tuple, n0: float) -> np.ndarray:
-    """Circularly symmetric complex Gaussian, variance n0 per entry."""
+def cn_noise(rngs, shape: tuple, n0: float) -> np.ndarray:
+    """Circularly symmetric complex Gaussian, variance n0 per entry.
+
+    One (*shape) draw per generator, stacked to (len(rngs), *shape); each
+    generator fills its own slab, and the scaling runs once for the stack.
+    """
     if n0 < 0:
         raise ValueError("n0 must be nonnegative")
-    re = rng.standard_normal((*shape, 2))
+    re = np.empty((len(rngs), *shape, 2))
+    for rng, slab in zip(rngs, re):
+        rng.standard_normal(out=slab)
     return np.sqrt(n0 / 2.0) * (re[..., 0] + 1j * re[..., 1])
 
 
@@ -205,12 +216,13 @@ class _FramePipeline:
         inter = coded[:, self.ivl.permutation]
         x = self.constellation.map_bits(inter).reshape(n_frames, n_codewords, d, d)
 
-        # each pass draws the pending frames (all of them at first), one
-        # channel per frame from its own stream, and keeps the degenerate ones
+        # each pass draws the pending frames (all of them at first) in one
+        # draw_paths call, each channel from its frame's own stream, and
+        # keeps the degenerate ones
         lam, pending = np.empty((n_frames, d)), np.arange(n_frames)
         for _ in range(_RESAMPLE_CAP + 1):
-            factors = [draw_paths(rngs[i], self.geom, self.beta, self.paths) for i in pending]
-            cores = path_core(*map(np.stack, zip(*factors)))
+            factors = draw_paths([rngs[i] for i in pending], self.geom, self.beta, self.paths)
+            cores = path_core(*factors)
             lam[pending] = np.linalg.svd(cores, compute_uv=False)[:, :d]
             pending = pending[is_degenerate(lam[pending])]
             if not pending.size:
@@ -222,7 +234,7 @@ class _FramePipeline:
 
         z = encode_batch(self.params, x)
         y = lam[:, None, :, None] * z
-        y = y + np.stack([cn_noise(r, z.shape[1:], n0) for r in rngs])
+        y = y + cn_noise(rngs, z.shape[1:], n0)
         groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
 
         engine = MetricEngine(self.params, self.constellation, lam)

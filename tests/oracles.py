@@ -26,7 +26,7 @@ def conv_encode_reference(bits) -> np.ndarray:
 def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,
                      n_paths) -> np.ndarray:
     """Dense stacked (total_rx, total_tx) channel of draw_paths' factors."""
-    a_r, gain, a_t = draw_paths(rng, geom, beta, n_paths)
+    (a_r,), (gain,), (a_t,) = draw_paths([rng], geom, beta, n_paths)
     return (a_r * gain) @ a_t.conj().T
 
 
@@ -40,7 +40,7 @@ def theta_samples(rng: np.random.Generator, geom: ArrayGeometry, beta,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    return np.array([np.linalg.norm(path_core(*draw_paths(rng, geom, beta, n_paths))) ** 2
+    return np.array([np.linalg.norm(path_core(*draw_paths([rng], geom, beta, n_paths))) ** 2
                      for _ in range(n_samples)])
 
 

@@ -41,12 +41,19 @@ def test_noise_variance_convention():
 
 def test_cn_noise_statistics():
     rng = np.random.default_rng(11)
-    x = cn_noise(rng, (200_000,), 0.5)
+    (x,) = cn_noise([rng], (200_000,), 0.5)
     assert np.mean(np.abs(x) ** 2) == pytest.approx(0.5, rel=0.02)
     assert np.mean(x).real == pytest.approx(0.0, abs=0.01)
     assert np.mean(x**2) == pytest.approx(0.0, abs=0.01)  # circular symmetry
     with pytest.raises(ValueError):
-        cn_noise(rng, (4,), -1.0)
+        cn_noise([rng], (4,), -1.0)
+
+
+def test_cn_noise_stacks_per_generator_draws():
+    stacked = cn_noise([np.random.default_rng(s) for s in (3, 4)], (5, 2), 0.8)
+    assert stacked.shape == (2, 5, 2)
+    for row, s in zip(stacked, (3, 4)):
+        assert np.array_equal(row, cn_noise([np.random.default_rng(s)], (5, 2), 0.8)[0])
 
 
 def test_full_model_matches_reduced_model():
@@ -56,7 +63,7 @@ def test_full_model_matches_reduced_model():
     # noiseless: W^H H F Z is exactly diag(lam) Z
     assert np.allclose(w.conj().T @ h @ f @ z, lam[:, None] * z, atol=1e-8)
     # same injected noise image: W^H (H F Z + N) = diag(lam) Z + W^H N
-    noise = cn_noise(np.random.default_rng(42), (h.shape[0], 2), 0.3)
+    (noise,) = cn_noise([np.random.default_rng(42)], (h.shape[0], 2), 0.3)
     lhs = w.conj().T @ (h @ f @ z + noise)
     rhs = lam[:, None] * z + w.conj().T @ noise
     assert np.allclose(lhs, rhs, atol=1e-8)
@@ -66,7 +73,7 @@ def test_combined_noise_stays_white():
     h = _channel(seed=9)
     _, _, w = _beamformers(h, 2)
     n0 = 0.7
-    samples = cn_noise(np.random.default_rng(13), (20_000, h.shape[0]), n0) @ w.conj()
+    samples = cn_noise([np.random.default_rng(13)], (20_000, h.shape[0]), n0)[0] @ w.conj()
     cov = samples.conj().T @ samples / samples.shape[0]
     assert np.allclose(cov, n0 * np.eye(2), atol=0.03)
 

@@ -112,9 +112,10 @@ def _relative_gap(got, want):
     (ArrayGeometry(n_t=8, n_r=2, l_t=2, l_r=2), np.ones((2, 2)), 3),  # P > total_rx
 ])
 def test_path_core_matches_dense(geom, beta, paths):
-    factors = [draw_paths(np.random.default_rng(s), geom, beta, paths) for s in range(20)]
-    cores = path_core(*map(np.stack, zip(*factors)))             # one stacked call
-    for s, (a_r, gain, a_t) in enumerate(factors):
+    rngs = [np.random.default_rng(s) for s in range(20)]
+    factors = draw_paths(rngs, geom, beta, paths)
+    cores = path_core(*factors)             # one stacked call
+    for s, (a_r, gain, a_t) in enumerate(zip(*factors)):
         h = assemble_channel(np.random.default_rng(s), geom, beta, paths)
         assert np.array_equal(h, (a_r * gain) @ a_t.conj().T)
         core = path_core(a_r, gain, a_t)
@@ -128,9 +129,29 @@ def test_path_core_matches_dense(geom, beta, paths):
         assert _relative_gap(np.linalg.norm(core) ** 2, np.linalg.norm(h) ** 2) < 1e-12
 
 
+@pytest.mark.parametrize("geom,beta,paths", [
+    (GEOM, 0.01 * np.ones((2, 2)), 2),
+    (ArrayGeometry(n_t=64, n_r=64, l_t=2, l_r=2), np.ones((2, 2)), 2),
+    (GEOM, np.ones((2, 2)), np.array([[6, 2], [3, 1]])),
+    (GEOM, np.array([[1.0, 0.0], [0.5, 2.0]]), 3),
+])
+def test_batched_paths_match_per_frame(geom, beta, paths):
+    """One batched draw gives exactly the factors of one-generator draws."""
+    seeds = [[0, 1, 2, k] for k in range(7)]
+    batched = draw_paths([np.random.default_rng(s) for s in seeds], geom, beta, paths)
+    assert [f.shape[0] for f in batched] == [len(seeds)] * 3
+    for k, s in enumerate(seeds):
+        single = draw_paths([np.random.default_rng(s)], geom, beta, paths)
+        for got, want in zip(batched, single):
+            assert np.array_equal(got[k], want[0])
+    with pytest.raises(ValueError, match="generator"):
+        draw_paths([], geom, beta, paths)
+
+
 def test_svd_diagonalizes_channel():
     # the core's singular values are the stream gains W^H H F of the dense H
-    a_r, gain, a_t = draw_paths(np.random.default_rng(31), GEOM, 0.01 * np.ones((2, 2)), 2)
+    (a_r,), (gain,), (a_t,) = draw_paths([np.random.default_rng(31)], GEOM,
+                                         0.01 * np.ones((2, 2)), 2)
     h = (a_r * gain) @ a_t.conj().T
     lam = np.linalg.svd(path_core(a_r, gain, a_t), compute_uv=False)[:4]
     u, _, vh = np.linalg.svd(h)

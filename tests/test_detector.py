@@ -242,6 +242,24 @@ def test_peeled_d6_16qam_matches_sphere_oracle(sigma):
     assert np.allclose(got, oracle, atol=1e-10)
 
 
+@pytest.mark.parametrize("d,order", [(2, 16), (3, 16), (4, 4), (4, 16), (6, 4)])
+def test_lord_axis_orders_agree(monkeypatch, d, order):
+    """Candidates ahead of the (frame, group) pairs or behind them: same bits."""
+    rng = np.random.default_rng(400 + 10 * d + order)
+    params = build_params(d)
+    c = QamConstellation(order)
+    lam = np.stack([random_lam(rng, d) for _ in range(3)])
+    lam[2, -1] = 0.0
+    groups = np.stack([noisy_groups(rng, params, c, lam[f], 5, 0.5) for f in range(3)])
+    engine = MetricEngine(params, c, lam)
+
+    def metrics(lead_max):
+        monkeypatch.setattr(detector, "_LEAD_MAX", lead_max)
+        return engine.bit_metrics(groups)
+
+    assert np.array_equal(metrics(0), metrics(c.order ** (d - 1)))
+
+
 def test_peeling_only_above_lord_grid_limit(monkeypatch):
     calls = []
     peeled = detector._peeled

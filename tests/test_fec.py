@@ -327,8 +327,17 @@ def test_label_tables_agree_with_points(order):
             # a bit moves its own axis's level and leaves the other axis alone
             assert c.axis_level[ax, flipped] != c.axis_level[ax, label]
             assert c.axis_level[1 - ax, flipped] == c.axis_level[1 - ax, label]
+    n_levels = c.levels.size
+    grid = c.axis_level[:, c.by_level].reshape(2, n_levels, n_levels)
+    assert np.array_equal(grid[0], np.repeat(np.arange(n_levels)[:, None], n_levels, 1))
+    assert np.array_equal(grid[1], grid[0].T)
+    for j in range(bps):
+        for b in (0, 1):
+            levels = c.axis_level[c.bit_axis[j], c.subset_indices[j, b]]
+            assert c.level_subsets[j, b].tolist() == sorted(set(levels.tolist()))
+            assert c.level_subsets[j, b].size == n_levels // 2
     for table in (c.label_bits, c.axis_level, c.levels, c.bit_axis, c.points,
-                  c.subset_indices):
+                  c.subset_indices, c.by_level, c.level_subsets):
         with pytest.raises(ValueError):
             table[(0,) * table.ndim] = 0
 

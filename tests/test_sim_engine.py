@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bicmb_pc import sim_engine
-from bicmb_pc.channel_model import draw_paths
+from bicmb_pc import channel_model, sim_engine
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
@@ -257,21 +256,29 @@ def test_stop_rules():
     assert res2.bit_errors >= 5
 
 
+def test_nan_snr_is_rejected_by_name():
+    with pytest.raises(ValueError, match="SNR nan dB"):
+        run_ber_point(SMALL, float("nan"))
+    assert sim_engine.noise_variance(32, float("inf")) == 0.0
+
+
 def test_forced_redraws_are_pinned(monkeypatch):
     """Redrawn channels come from each frame's own stream, pinned on seed 0.
 
     A value-only degeneracy rule flags about a quarter of the draws, so
     some frames are redrawn more than once; the counts also pin the noise
-    and detection that follow the redraws.
+    and detection that follow the redraws.  The spy sits on the per-frame
+    draw inside the batched draw_paths.
     """
     drawn_by = []
+    draw_frame = channel_model._draw_frame
 
     def spy(rng, *args):
         drawn_by.append(rng)
-        return draw_paths(rng, *args)
+        return draw_frame(rng, *args)
 
     monkeypatch.setattr(sim_engine, "is_degenerate", lambda lam: lam[..., -1] < 1.0)
-    monkeypatch.setattr(sim_engine, "draw_paths", spy)
+    monkeypatch.setattr(channel_model, "_draw_frame", spy)
     cfg = SystemConfig(nominal_info_bits=128, batch_frames=8, max_frames=16,
                        target_bit_errors=10 ** 6)
     res = run_ber_point(cfg, snr_db=16.0)
