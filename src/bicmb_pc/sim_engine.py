@@ -70,7 +70,7 @@ def cn_noise(rngs, shape: tuple, n0: float) -> np.ndarray:
     One (*shape) draw per generator, stacked to (len(rngs), *shape); each
     generator fills its own slab, and the scaling runs once for the stack.
     """
-    if n0 < 0:
+    if not n0 >= 0:             # also rejects NaN
         raise ValueError("n0 must be nonnegative")
     re = np.empty((len(rngs), *shape, 2))
     for rng, slab in zip(rngs, re):

@@ -45,8 +45,9 @@ def test_cn_noise_statistics():
     assert np.mean(np.abs(x) ** 2) == pytest.approx(0.5, rel=0.02)
     assert np.mean(x).real == pytest.approx(0.0, abs=0.01)
     assert np.mean(x**2) == pytest.approx(0.0, abs=0.01)  # circular symmetry
-    with pytest.raises(ValueError):
-        cn_noise([rng], (4,), -1.0)
+    for bad in (-1.0, float("nan")):
+        with pytest.raises(ValueError):
+            cn_noise([rng], (4,), bad)
 
 
 def test_cn_noise_stacks_per_generator_draws():
