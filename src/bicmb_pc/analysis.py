@@ -117,8 +117,8 @@ def zeta_min(params: PerfectCodeParams, constellation: QamConstellation) -> floa
 def pep_bound(snr_db, kappa, theta, zeta, dim: int, total_tx: int, l_t: int):
     """High-SNR pairwise error bound 0.5 * (theta zeta d n_tx snr / (4 l_t))^-kappa."""
     for name, v in (("kappa", kappa), ("theta", theta), ("zeta", zeta)):
-        if float(v) <= 0:
-            raise ValueError(f"{name} must be positive")
+        if not 0 < float(v) < np.inf:          # NaN fails both comparisons
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
     arg = float(theta) * float(zeta) * dim * total_tx * snr / (4.0 * l_t)
     return 0.5 * arg ** (-float(kappa))
@@ -130,6 +130,9 @@ def empirical_slope(snr_db, ber) -> float:
     b = np.asarray(ber, dtype=float)
     if s.shape != b.shape or s.ndim != 1:
         raise ValueError("snr_db and ber must be matching 1-d arrays")
+    for name, v in (("snr_db", s), ("ber", b)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
     keep = b > 0
     if np.unique(s[keep]).size < 2:
         raise ValueError("need positive BER at two or more distinct SNRs")

@@ -25,6 +25,7 @@ from .sim_engine import (
     SystemConfig,
     config_hash,
     read_csv,
+    read_lines,
     run_ber_point,
     run_sweep,
     write_csv,
@@ -65,23 +66,22 @@ def _parse_value(key: str, text: str):
 
 def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
     values, set_on = {}, {}
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key = value")
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in _DEFAULTS:
-                raise ValueError(f"{path}:{ln}: unknown key '{key}'")
-            try:
-                value = _parse_value(key, val)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {key} {exc}") from None
-            if key in set_on:
-                raise ValueError(f"{path}:{ln}: {key} already set on line {set_on[key]}")
-            values[key], set_on[key] = value, ln
+    for ln, raw in enumerate(read_lines(path), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{ln}: expected key = value")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in _DEFAULTS:
+            raise ValueError(f"{path}:{ln}: unknown key '{key}'")
+        try:
+            value = _parse_value(key, val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{ln}: {key} {exc}") from None
+        if key in set_on:
+            raise ValueError(f"{path}:{ln}: {key} already set on line {set_on[key]}")
+        values[key], set_on[key] = value, ln
     if seed_override is not None:
         values["master_seed"] = seed_override
     return SystemConfig(**values)

@@ -19,6 +19,8 @@ code finishes each surviving prefix and the minima stay exact.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .fec import QamConstellation
@@ -162,6 +164,14 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     (frame, group) pairs last and contiguous, so every reduction adds or
     compares whole slabs; a larger grid leaves few pairs per chunk, and
     there the candidate axis goes last.  The minima are the same either way.
+
+    The row differences and level distances of a chunk, and every
+    per-candidate array derived from them, live in a workspace allocated
+    once per call and freed with it: arrays made fresh for each chunk are
+    handed back to the OS when freed and page-faulted in again by the next
+    chunk, which at D = 3 cost a fifth of the frame in system time.  A chunk
+    writes into contiguous leading views of the workspace, so a short last
+    chunk has the layout of a fresh array and the same minima.
     """
     n_frames, n, d = qobs.shape
     k, bps = c.order, c.bits_per_symbol
@@ -181,6 +191,15 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     gamma = np.empty((n_frames, n, d, bps, 2))
     frame_step = max(1, _CHUNK_PAIRS // max(1, n * n_cand))
     group_step = max(1, min(n, _CHUNK_PAIRS // n_cand))
+    size = n_cand * min(frame_step, n_frames) * group_step     # largest chunk
+    work_re, work_im = np.empty((2, d * size))
+    work_i, work_q = np.empty((2, n_levels * size))
+    work_tail = np.empty(size)
+
+    def view(buf, shape):
+        """shape over the front of buf, laid out as a fresh array would be."""
+        return buf[:math.prod(shape)].reshape(shape)
+
     for f0 in range(0, n_frames, frame_step):
         rf = r[f0:f0 + frame_step]
         images = (rf[:, :, 1:] @ rest).transpose(1, 2, 0)[..., None]    # (d, cand, f, 1)
@@ -193,21 +212,28 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
         q_re, q_im = np.ascontiguousarray(qf.real), np.ascontiguousarray(qf.imag)
         for g0 in range(0, n, group_step):
             chunk = np.s_[:, None, :, g0:g0 + group_step]
-            re = layout(q_re[chunk]) - im_re
-            im = layout(q_im[chunk]) - im_im
-            tail = (re[1:] ** 2 + im[1:] ** 2).sum(axis=0)     # rows 2..d
-            # row 1: r11^2 (t - x_1)^2 splits into a cost per I and per Q level
-            dist_i = re[0] - r11_levels
+            q_re_c, q_im_c = layout(q_re[chunk]), layout(q_im[chunk])
+            shape = np.broadcast_shapes(q_re_c.shape, im_re.shape)[1:]
+            re = np.subtract(q_re_c, im_re, out=view(work_re, (d,) + shape))
+            im = np.subtract(q_im_c, im_im, out=view(work_im, (d,) + shape))
+            # row 1: r11^2 (t - x_1)^2 splits into a cost per I and per Q level,
+            # and its minima overwrite row 1 once the distances are taken
+            dist_i = np.subtract(re[0], r11_levels, out=view(work_i, (n_levels,) + shape))
             np.square(dist_i, out=dist_i)
-            dist_q = im[0] - r11_levels
+            dist_q = np.subtract(im[0], r11_levels, out=view(work_q, (n_levels,) + shape))
             np.square(dist_q, out=dist_q)
-            min_i, min_q = dist_i.min(axis=0), dist_q.min(axis=0)
+            min_i, min_q = dist_i.min(axis=0, out=re[0]), dist_q.min(axis=0, out=im[0])
+            rows = np.square(re[1:], out=re[1:])                 # rows 2..d
+            np.add(rows, np.square(im[1:], out=im[1:]), out=rows)
+            tail = rows.sum(axis=0, out=view(work_tail, shape))
+            tail_i = np.add(tail, min_i, out=min_i)
+            tail_q = np.add(tail, min_q, out=tail)
             # level tables (layer, axis, level, f, g): the best cost with that
             # layer's I (or Q) level fixed; x_1's come straight from the grid
             tables = np.empty((d, 2, n_levels) + q_re[chunk].shape[2:])
-            np.add(tail + min_q, dist_i, out=dist_i).min(axis=cax + 1, out=tables[0, 0])
-            np.add(tail + min_i, dist_q, out=dist_q).min(axis=cax + 1, out=tables[0, 1])
-            best = tail + min_i + min_q
+            np.add(tail_q, dist_i, out=dist_i).min(axis=cax + 1, out=tables[0, 0])
+            np.add(tail_i, dist_q, out=dist_q).min(axis=cax + 1, out=tables[0, 1])
+            best = np.add(tail_i, min_q, out=tail_i)
             best = best.reshape(best.shape[:cax] + (d - 1) * (k,) + best.shape[cax + 1:])
             for m in range(1, d):
                 label = best.min(axis=tuple(label_axes[:m - 1] + label_axes[m:]))

@@ -330,18 +330,26 @@ def write_csv(path, results: list[PointResult], cfg_hash: str) -> None:
                              r.bit_errors, f"{r.ber:.10e}"])
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; bytes that are not UTF-8 raise a ValueError naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_csv(path):
     """Returns (config_hash or None, list of PointResult)."""
-    with open(path) as fh:
-        first = fh.readline().strip()
-        stored = first.split("=", 1)[1] if first.startswith("# config_hash=") else None
-        if stored is None:
-            fh.seek(0)
-        reader = csv.DictReader(fh, restval="")     # short rows fail to parse
-        missing = [col for col in _CSV_COLUMNS if col not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing CSV columns {', '.join(missing)}")
-        rows = list(reader)
+    lines = read_lines(path)
+    first = lines[0].strip() if lines else ""
+    stored = first.split("=", 1)[1] if first.startswith("# config_hash=") else None
+    reader = csv.DictReader(lines if stored is None else lines[1:],
+                            restval="")                 # short rows fail to parse
+    missing = [col for col in _CSV_COLUMNS if col not in (reader.fieldnames or [])]
+    if missing:
+        raise ValueError(f"{path}: missing CSV columns {', '.join(missing)}")
+    rows = list(reader)
     results = []
     for i, row in enumerate(rows, 1):
         try:

@@ -147,6 +147,15 @@ def test_pep_bound_slope_is_kappa():
         pep_bound(snr, kappa=-1, theta=0.005, zeta=0.1, dim=2, total_tx=32, l_t=2)
 
 
+@pytest.mark.parametrize("name", ["kappa", "theta", "zeta"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pep_bound_rejects_non_finite_inputs(name, bad):
+    args = dict(kappa=8.0, theta=0.005, zeta=0.1)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        pep_bound(np.array([30.0]), dim=2, total_tx=32, l_t=2, **args)
+
+
 def test_empirical_slope_recovers_power_law():
     snr_db = np.linspace(20, 40, 9)
     ber = 3.0 * (10 ** (snr_db / 10.0)) ** -8
@@ -159,6 +168,15 @@ def test_empirical_slope_ignores_zero_points():
     assert empirical_slope(snr_db, ber) == pytest.approx(2.0, abs=1e-9)
     with pytest.raises(ValueError):
         empirical_slope(np.array([10.0, 20.0]), np.array([0.0, 0.0]))
+
+
+@pytest.mark.parametrize("name", ["snr_db", "ber"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_empirical_slope_rejects_non_finite_inputs(name, bad):
+    args = dict(snr_db=np.array([10.0, 20.0, 30.0]), ber=np.array([1e-2, 1e-4, 1e-6]))
+    args[name][1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        empirical_slope(**args)
 
 
 def test_empirical_slope_needs_two_distinct_snrs():

@@ -207,6 +207,24 @@ def test_missing_config_is_reported(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_non_utf8_config_names_its_file(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(BASE_CONFIG.encode() + b"# r\xe9seau\xff\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "1", "--snr-max", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_binary_csv_names_its_file(config_file, tmp_path, capsys):
+    path = tmp_path / "binary.csv"
+    path.write_bytes(b"\xff\xfe\x00\x01" * 8)
+    rc = main(["analyze", str(path), "--config", str(config_file), "--force"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
+
+
 # coincident antennas: every draw is rank one, so two streams never fit
 STARVED_CONFIG = ("n_t = 4\nn_r = 4\nl_t = 1\nl_r = 1\ndim = 2\nbeta = 1.0\n"
                   "n_paths = 4\nspacing = 1e-15\nnominal_info_bits = 64\n"

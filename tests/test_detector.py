@@ -260,6 +260,24 @@ def test_lord_axis_orders_agree(monkeypatch, d, order):
     assert np.array_equal(metrics(0), metrics(c.order ** (d - 1)))
 
 
+@pytest.mark.parametrize("d,order", [(2, 16), (3, 16), (4, 16), (6, 4)])
+def test_lord_ragged_chunks_are_exact(monkeypatch, d, order):
+    """A short last chunk of frames or of groups gives the default chunking's bits."""
+    rng = np.random.default_rng(500 + 10 * d + order)
+    params = build_params(d)
+    c = QamConstellation(order)
+    lam = np.stack([random_lam(rng, d) for _ in range(5)])
+    groups = np.stack([noisy_groups(rng, params, c, row, 7, 0.5) for row in lam])
+    engine = MetricEngine(params, c, lam)
+    whole = engine.bit_metrics(groups)
+    n_cand = order ** (d - 1)
+    # 2 of the 5 frames per chunk, then 3 of the 7 groups; both chunks hold
+    # the whole grid, so nothing is peeled
+    for pairs in (2 * 7 * n_cand, 3 * n_cand):
+        monkeypatch.setattr(detector, "_CHUNK_PAIRS", pairs)
+        assert np.array_equal(engine.bit_metrics(groups), whole)
+
+
 def test_peeling_only_above_lord_grid_limit(monkeypatch):
     calls = []
     peeled = detector._peeled
