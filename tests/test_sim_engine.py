@@ -151,6 +151,7 @@ def test_noiseless_loopback_is_error_free(dim):
     (2, 16, 21.0, (24, 6000, 150)),
     (3, 16, 23.0, (32, 7872, 115)),
     (2, 4, 16.0, (32, 8128, 102)),
+    (4, 16, 24.0, (24, 6000, 121)),
 ])
 def test_seed_zero_counts_are_pinned(dim, order, snr_db, counts):
     """Exact (frames, info_bits, bit_errors) on seed 0.
