@@ -12,10 +12,10 @@ r11^2 |t - x_1|^2, separable into I and Q terms.  The layered orthogonal
 lattice detector (LORD) thus enumerates only the K^(d-1) candidates for
 x_2..x_d and slices x_1 per axis, in chunks of a fixed number of (group,
 candidate) pairs so memory stays bounded for any batch.  Where the grid
-alone exceeds one chunk (d = 6 with 16-QAM), the top layers are enumerated
-first and only prefixes within an achievable cost of their group are kept
-(the clipping radius of Studer & Bolcskei, JSAC 2008), so the same grid
-code finishes each surviving prefix and the minima stay exact.
+has more than 1024 candidates (d = 4 and d = 6 with 16-QAM), the top layers
+are enumerated first and only prefixes within an achievable cost of their
+group are kept (the clipping radius of Studer & Bolcskei, JSAC 2008), so
+the same grid code finishes each surviving prefix and the minima stay exact.
 """
 from __future__ import annotations
 
@@ -27,13 +27,11 @@ from .fec import QamConstellation
 from .pstbc import PerfectCodeParams
 
 
-# (group, candidate) pairs per LORD chunk; bounds the detector's memory, and
-# top layers are peeled until the remaining grid fits in one chunk
+# (group, candidate) pairs per LORD chunk; bounds the detector's memory
 _CHUNK_PAIRS = 1 << 15
-# grids of at most this many candidates put the candidate axis ahead of a
-# chunk's (frame, group) pairs: numpy reduces leading slabs far faster than
-# a short trailing axis, but a larger grid leaves too few pairs per slab
-_LEAD_MAX = _CHUNK_PAIRS // 32
+# candidates per LORD grid; top layers are peeled until the grid fits, so a
+# chunk keeps at least _CHUNK_PAIRS // _GRID_MAX (frame, group) pairs per slab
+_GRID_MAX = 1024
 # relative slack on the pruning radius, so rounding never drops a minimizer
 _SLACK = 1e-9
 
@@ -92,14 +90,14 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray,
                  constellation: QamConstellation) -> np.ndarray:
     """Exact subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma.
 
-    While the grid K^(d-1-peel) exceeds one chunk of _CHUNK_PAIRS one more
+    While the grid K^(d-1-peel) has more than _GRID_MAX candidates one more
     top layer is peeled; the peeled path runs frame by frame on chunks of
     groups.
     """
     c = constellation
     n_frames, n, d = qobs.shape
     peel = 0
-    while c.order ** (d - 1 - peel) > _CHUNK_PAIRS:
+    while c.order ** (d - 1 - peel) > _GRID_MAX:
         peel += 1
     if not peel:
         return _lord_grid(qobs, r, c)
@@ -159,11 +157,10 @@ def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.
 def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarray:
     """LORD over the full K^(d-1) grid of x_2..x_d, per chunk of (frame, group) pairs.
 
-    Chunk arrays lead with their row or level axis.  While the grid has at
-    most _LEAD_MAX candidates the candidate axis comes next and the chunk's
-    (frame, group) pairs last and contiguous, so every reduction adds or
-    compares whole slabs; a larger grid leaves few pairs per chunk, and
-    there the candidate axis goes last.  The minima are the same either way.
+    Chunk arrays are (row or level, candidate, frame, group), with the
+    chunk's (frame, group) pairs last and contiguous, so every reduction adds
+    or compares whole slabs; lord_metrics keeps the grid at most _GRID_MAX
+    candidates, so the slabs stay long.
 
     The row differences and level distances of a chunk, and every
     per-candidate array derived from them, live in a workspace allocated
@@ -177,14 +174,6 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     k, bps = c.order, c.bits_per_symbol
     rest = c.grid(d - 1)                # x_2..x_d candidates
     n_cand = rest.shape[1]
-    lead = n_cand <= _LEAD_MAX
-
-    def layout(x):
-        """(..., cand, f, g) as a chunk holds it: moved to (..., f, g, cand) unless cand leads."""
-        return x if lead else np.moveaxis(x, -3, -1)
-
-    cax = 0 if lead else 2              # candidate axis of a laid-out (cand, f, g)
-    label_axes = list(range(cax, cax + d - 1))      # x_2..x_d once cand splits
     n_levels = c.levels.size
     levels = c.levels[:, None, None, None]
 
@@ -203,19 +192,18 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     for f0 in range(0, n_frames, frame_step):
         rf = r[f0:f0 + frame_step]
         images = (rf[:, :, 1:] @ rest).transpose(1, 2, 0)[..., None]    # (d, cand, f, 1)
-        im_re = np.ascontiguousarray(layout(images.real))
-        im_im = np.ascontiguousarray(layout(images.imag))
-        r11_levels = layout(rf[None, :, 0, 0, None].real) * levels
+        im_re = np.ascontiguousarray(images.real)
+        im_im = np.ascontiguousarray(images.imag)
+        r11_levels = rf[None, :, 0, 0, None].real * levels
         # real and imaginary parts apart, (d, f, n) each: the costs below are
         # sums of per-component squares, as the complex arithmetic gives them
         qf = np.moveaxis(qobs[f0:f0 + frame_step], -1, 0)
         q_re, q_im = np.ascontiguousarray(qf.real), np.ascontiguousarray(qf.imag)
         for g0 in range(0, n, group_step):
             chunk = np.s_[:, None, :, g0:g0 + group_step]
-            q_re_c, q_im_c = layout(q_re[chunk]), layout(q_im[chunk])
-            shape = np.broadcast_shapes(q_re_c.shape, im_re.shape)[1:]
-            re = np.subtract(q_re_c, im_re, out=view(work_re, (d,) + shape))
-            im = np.subtract(q_im_c, im_im, out=view(work_im, (d,) + shape))
+            shape = np.broadcast_shapes(q_re[chunk].shape, im_re.shape)[1:]
+            re = np.subtract(q_re[chunk], im_re, out=view(work_re, (d,) + shape))
+            im = np.subtract(q_im[chunk], im_im, out=view(work_im, (d,) + shape))
             # row 1: r11^2 (t - x_1)^2 splits into a cost per I and per Q level,
             # and its minima overwrite row 1 once the distances are taken
             dist_i = np.subtract(re[0], r11_levels, out=view(work_i, (n_levels,) + shape))
@@ -230,14 +218,14 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
             tail_q = np.add(tail, min_q, out=tail)
             # level tables (layer, axis, level, f, g): the best cost with that
             # layer's I (or Q) level fixed; x_1's come straight from the grid
-            tables = np.empty((d, 2, n_levels) + q_re[chunk].shape[2:])
-            np.add(tail_q, dist_i, out=dist_i).min(axis=cax + 1, out=tables[0, 0])
-            np.add(tail_i, dist_q, out=dist_q).min(axis=cax + 1, out=tables[0, 1])
+            tables = np.empty((d, 2, n_levels) + shape[1:])
+            np.add(tail_q, dist_i, out=dist_i).min(axis=1, out=tables[0, 0])
+            np.add(tail_i, dist_q, out=dist_q).min(axis=1, out=tables[0, 1])
             best = np.add(tail_i, min_q, out=tail_i)
-            best = best.reshape(best.shape[:cax] + (d - 1) * (k,) + best.shape[cax + 1:])
+            best = best.reshape((d - 1) * (k,) + shape[1:])      # x_2..x_d, f, g
             for m in range(1, d):
-                label = best.min(axis=tuple(label_axes[:m - 1] + label_axes[m:]))
-                label = np.moveaxis(label, cax, 0)[c.by_level]
+                others = tuple(a for a in range(d - 1) if a != m - 1)
+                label = best.min(axis=others)[c.by_level]
                 label = label.reshape((n_levels, n_levels) + label.shape[1:])
                 label.min(axis=1, out=tables[m, 0])
                 label.min(axis=0, out=tables[m, 1])

@@ -137,6 +137,26 @@ def test_sweep_rejects_out_of_range_snr(config_file, tmp_path, capsys, snr):
     assert f"SNR {float(snr)} dB" in err
 
 
+@pytest.mark.parametrize("exc,line", [
+    (MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                 "(80000000000000,) and data type uint8"),
+     "error: Unable to allocate 72.8 TiB for an array with shape "
+     "(80000000000000,) and data type uint8\n"),
+    (MemoryError(), "error: MemoryError\n"),
+])
+def test_out_of_memory_is_a_one_line_error(config_file, tmp_path, capsys,
+                                           monkeypatch, exc, line):
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_sweep", exhausted)
+    rc = main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "4", "--snr-max", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err == line
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_analyze_reports_diversity(config_file, tmp_path, capsys):
     out = tmp_path / "res.csv"
     main(["sweep", "--config", str(config_file), "--out", str(out),

@@ -211,8 +211,17 @@ def test_sphere_matches_exhaustive(order, d):
 @pytest.mark.parametrize("order,d", [(16, 3), (4, 4)])
 @pytest.mark.parametrize("limit", [16, 4])
 def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
-    """With the chunk lowered to the grid limit, peeling one or two layers stays exact."""
+    """With the grid limit and the chunk lowered, peeling one or two layers stays exact."""
+    monkeypatch.setattr(detector, "_GRID_MAX", limit)
     monkeypatch.setattr(detector, "_CHUNK_PAIRS", limit)
+    depths = []
+    peeled = detector._peeled
+
+    def spy(q, r, peel, c):
+        depths.append(peel)
+        return peeled(q, r, peel, c)
+
+    monkeypatch.setattr(detector, "_peeled", spy)
     rng = np.random.default_rng(300 + 10 * d + limit)
     params = build_params(d)
     c = QamConstellation(order)
@@ -227,6 +236,8 @@ def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
                                                 lam[f][:, None] * params.generator, c)
             assert np.allclose(got[f, g], ref_gamma, atol=1e-10)
             assert umin(got)[f, g] == pytest.approx(ref_umin, abs=1e-10)
+    # K^(d-1) is 256 or 64: a limit of 16 peels one layer, a limit of 4 two
+    assert depths and set(depths) == {1 if limit == 16 else 2}
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3])
@@ -242,25 +253,7 @@ def test_peeled_d6_16qam_matches_sphere_oracle(sigma):
     assert np.allclose(got, oracle, atol=1e-10)
 
 
-@pytest.mark.parametrize("d,order", [(2, 16), (3, 16), (4, 4), (4, 16), (6, 4)])
-def test_lord_axis_orders_agree(monkeypatch, d, order):
-    """Candidates ahead of the (frame, group) pairs or behind them: same bits."""
-    rng = np.random.default_rng(400 + 10 * d + order)
-    params = build_params(d)
-    c = QamConstellation(order)
-    lam = np.stack([random_lam(rng, d) for _ in range(3)])
-    lam[2, -1] = 0.0
-    groups = np.stack([noisy_groups(rng, params, c, lam[f], 5, 0.5) for f in range(3)])
-    engine = MetricEngine(params, c, lam)
-
-    def metrics(lead_max):
-        monkeypatch.setattr(detector, "_LEAD_MAX", lead_max)
-        return engine.bit_metrics(groups)
-
-    assert np.array_equal(metrics(0), metrics(c.order ** (d - 1)))
-
-
-@pytest.mark.parametrize("d,order", [(2, 16), (3, 16), (4, 16), (6, 4)])
+@pytest.mark.parametrize("d,order", [(2, 16), (3, 16), (4, 4), (6, 4)])
 def test_lord_ragged_chunks_are_exact(monkeypatch, d, order):
     """A short last chunk of frames or of groups gives the default chunking's bits."""
     rng = np.random.default_rng(500 + 10 * d + order)
@@ -271,8 +264,8 @@ def test_lord_ragged_chunks_are_exact(monkeypatch, d, order):
     engine = MetricEngine(params, c, lam)
     whole = engine.bit_metrics(groups)
     n_cand = order ** (d - 1)
-    # 2 of the 5 frames per chunk, then 3 of the 7 groups; both chunks hold
-    # the whole grid, so nothing is peeled
+    # 2 of the 5 frames per chunk, then 3 of the 7 groups; every grid here
+    # is within _GRID_MAX, so nothing is peeled
     for pairs in (2 * 7 * n_cand, 3 * n_cand):
         monkeypatch.setattr(detector, "_CHUNK_PAIRS", pairs)
         assert np.array_equal(engine.bit_metrics(groups), whole)
@@ -287,13 +280,16 @@ def test_peeling_only_above_lord_grid_limit(monkeypatch):
         return peeled(q, r, peel, c)
 
     monkeypatch.setattr(detector, "_peeled", spy)
-    for d, order in ((4, 16), (6, 4)):           # K^(d-1) = 4096, 1024
-        MetricEngine(build_params(d), QamConstellation(order),
-                     np.ones(d)).bit_metrics(np.zeros((2, d)))
-    assert calls == []
+    MetricEngine(build_params(6), QamConstellation(4),
+                 np.ones(6)).bit_metrics(np.zeros((2, 6)))
+    assert calls == []                           # 4^5 = _GRID_MAX
+    MetricEngine(build_params(4), QamConstellation(16),
+                 np.ones(4)).bit_metrics(np.zeros((2, 4)))
+    assert calls == [((2, 4), 1)]                # 16^3 > _GRID_MAX >= 16^2
+    calls.clear()
     MetricEngine(build_params(6), QamConstellation(16),
                  np.ones((3, 6))).bit_metrics(np.zeros((3, 2, 6)))
-    assert calls == [((2, 6), 2)] * 3            # 16^4 > _CHUNK_PAIRS >= 16^3
+    assert calls == [((2, 6), 3)] * 3            # 16^3 > _GRID_MAX >= 16^2
 
 
 def test_detector_memory_is_bounded():
