@@ -45,6 +45,26 @@ def qr_reduce(m: np.ndarray):
     return q * rot.conj()[..., None, :], r * rot[..., :, None]
 
 
+class Workspace:
+    """Named float buffers that outlive a call, so repeated calls fault no fresh pages in.
+
+    take(name, shape) returns the leading elements of the named buffer as
+    an array of that shape, laid out as a fresh array would be; a buffer
+    grows when a request outsizes it.  A view stays valid until its name is
+    taken again, so two arrays in use at once need two names.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
 class MetricEngine:
     """Exact per-group bit metrics for diag(lam) G models.
 
@@ -69,12 +89,15 @@ class MetricEngine:
         self._q_conj = q.conj()
         self._r = r
 
-    def bit_metrics(self, groups: np.ndarray) -> np.ndarray:
+    def bit_metrics(self, groups: np.ndarray, work: Workspace | None = None) -> np.ndarray:
         """groups: (n, d) or (frames, n, d) weight-corrected observations.
 
         Returns gamma[..., g, m, j, b], the min residual for group g with
-        bit j of symbol m equal to b.
+        bit j of symbol m equal to b.  gamma lives in work, so the next call
+        on the same workspace overwrites it; without one, a fresh workspace
+        is used and the caller owns the result.
         """
+        work = Workspace() if work is None else work
         g = np.asarray(groups)
         frames = self.lam.shape[:-1]
         if g.ndim != len(frames) + 2 or g.shape[:len(frames)] != frames \
@@ -82,17 +105,17 @@ class MetricEngine:
             raise ValueError(f"groups must be {frames + ('n', self.dim)}")
         r = self._r.reshape(-1, self.dim, self.dim)
         qobs = (g @ self._q_conj).reshape((len(r),) + g.shape[-2:])    # Q^H y per group
-        gamma = lord_metrics(qobs, r, self.constellation)
+        gamma = lord_metrics(qobs, r, self.constellation, work)
         return gamma.reshape(g.shape[:-1] + gamma.shape[-3:])
 
 
-def lord_metrics(qobs: np.ndarray, r: np.ndarray,
-                 constellation: QamConstellation) -> np.ndarray:
-    """Exact subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma.
+def lord_metrics(qobs: np.ndarray, r: np.ndarray, constellation: QamConstellation,
+                 work: Workspace) -> np.ndarray:
+    """Exact subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma in work.
 
     While the grid K^(d-1-peel) has more than _GRID_MAX candidates one more
     top layer is peeled; the peeled path runs frame by frame on chunks of
-    groups.
+    groups, each leaf grid on a workspace of its own.
     """
     c = constellation
     n_frames, n, d = qobs.shape
@@ -100,8 +123,8 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray,
     while c.order ** (d - 1 - peel) > _GRID_MAX:
         peel += 1
     if not peel:
-        return _lord_grid(qobs, r, c)
-    gamma = np.empty((n_frames, n, d, c.bits_per_symbol, 2))
+        return _lord_grid(qobs, r, c, work)
+    gamma = work.take("peeled", (n_frames, n, d, c.bits_per_symbol, 2))
     step = max(1, _CHUNK_PAIRS // c.order ** peel)
     for f in range(n_frames):
         for g0 in range(0, n, step):
@@ -146,7 +169,8 @@ def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.
         labels = np.column_stack([lab, labels[keep]])
         sub = sub[keep, :level] - c.points[lab, None] * r[:level, level]
     top = d - peel
-    leaf = _lord_grid(sub[None], r[None, :top, :top], c)[0] + off[:, None, None, None]
+    leaf = _lord_grid(sub[None], r[None, :top, :top], c, Workspace())[0]
+    leaf = leaf + off[:, None, None, None]
     best = leaf[:, 0, 0].min(axis=-1)[:, None, None, None]
     peeled = np.where(c.label_bits[labels][..., None] == (0, 1), best, np.inf)
     starts = np.searchsorted(grp, np.arange(n))
@@ -154,7 +178,8 @@ def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.
                            np.minimum.reduceat(peeled, starts)], axis=1)
 
 
-def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarray:
+def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation,
+               work: Workspace) -> np.ndarray:
     """LORD over the full K^(d-1) grid of x_2..x_d, per chunk of (frame, group) pairs.
 
     Chunk arrays are (row or level, candidate, frame, group), with the
@@ -162,13 +187,13 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     or compares whole slabs; lord_metrics keeps the grid at most _GRID_MAX
     candidates, so the slabs stay long.
 
-    The row differences and level distances of a chunk, and every
-    per-candidate array derived from them, live in a workspace allocated
-    once per call and freed with it: arrays made fresh for each chunk are
-    handed back to the OS when freed and page-faulted in again by the next
-    chunk, which at D = 3 cost a fifth of the frame in system time.  A chunk
-    writes into contiguous leading views of the workspace, so a short last
-    chunk has the layout of a fresh array and the same minima.
+    The row differences and level distances of a chunk, every
+    per-candidate array derived from them and gamma itself are taken from
+    work: arrays made fresh for each chunk are handed back to the OS when
+    freed and page-faulted in again by the next chunk, which at D = 3 cost
+    a fifth of the frame in system time.  A chunk writes into contiguous
+    leading views of the workspace, so a short last chunk has the layout
+    of a fresh array and the same minima.
     """
     n_frames, n, d = qobs.shape
     k, bps = c.order, c.bits_per_symbol
@@ -177,17 +202,9 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
     n_levels = c.levels.size
     levels = c.levels[:, None, None, None]
 
-    gamma = np.empty((n_frames, n, d, bps, 2))
+    gamma = work.take("gamma", (n_frames, n, d, bps, 2))
     frame_step = max(1, _CHUNK_PAIRS // max(1, n * n_cand))
     group_step = max(1, min(n, _CHUNK_PAIRS // n_cand))
-    size = n_cand * min(frame_step, n_frames) * group_step     # largest chunk
-    work_re, work_im = np.empty((2, d * size))
-    work_i, work_q = np.empty((2, n_levels * size))
-    work_tail = np.empty(size)
-
-    def view(buf, shape):
-        """shape over the front of buf, laid out as a fresh array would be."""
-        return buf[:math.prod(shape)].reshape(shape)
 
     for f0 in range(0, n_frames, frame_step):
         rf = r[f0:f0 + frame_step]
@@ -202,18 +219,18 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarr
         for g0 in range(0, n, group_step):
             chunk = np.s_[:, None, :, g0:g0 + group_step]
             shape = np.broadcast_shapes(q_re[chunk].shape, im_re.shape)[1:]
-            re = np.subtract(q_re[chunk], im_re, out=view(work_re, (d,) + shape))
-            im = np.subtract(q_im[chunk], im_im, out=view(work_im, (d,) + shape))
+            re = np.subtract(q_re[chunk], im_re, out=work.take("re", (d,) + shape))
+            im = np.subtract(q_im[chunk], im_im, out=work.take("im", (d,) + shape))
             # row 1: r11^2 (t - x_1)^2 splits into a cost per I and per Q level,
             # and its minima overwrite row 1 once the distances are taken
-            dist_i = np.subtract(re[0], r11_levels, out=view(work_i, (n_levels,) + shape))
+            dist_i = np.subtract(re[0], r11_levels, out=work.take("dist_i", (n_levels,) + shape))
             np.square(dist_i, out=dist_i)
-            dist_q = np.subtract(im[0], r11_levels, out=view(work_q, (n_levels,) + shape))
+            dist_q = np.subtract(im[0], r11_levels, out=work.take("dist_q", (n_levels,) + shape))
             np.square(dist_q, out=dist_q)
             min_i, min_q = dist_i.min(axis=0, out=re[0]), dist_q.min(axis=0, out=im[0])
             rows = np.square(re[1:], out=re[1:])                 # rows 2..d
             np.add(rows, np.square(im[1:], out=im[1:]), out=rows)
-            tail = rows.sum(axis=0, out=view(work_tail, shape))
+            tail = rows.sum(axis=0, out=work.take("tail", shape))
             tail_i = np.add(tail, min_i, out=min_i)
             tail_q = np.add(tail, min_q, out=tail)
             # level tables (layer, axis, level, f, g): the best cost with that

@@ -36,13 +36,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel_model import ArrayGeometry, _check_beta, _check_paths, draw_paths, path_core
-from .detector import MetricEngine
+from .detector import MetricEngine, Workspace
 from .fec import (N_TAIL, Interleaver, QamConstellation, bits_per_symbol, conv_encode,
                   viterbi_decode_batch)
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 
 _RESAMPLE_CAP = 1000
 _BLOCK_FRAMES = 64          # frames simulated at once; bounds a batch's memory
+# A block's working set grows by 45-87 bytes per coded bit of each frame
+# (tracemalloc peak from 1024 to 16384 info bits, D = 2 to peeled D = 4
+# 16-QAM); at 128 bytes a 1 GiB block budget admits 65536 info bits.
+_BLOCK_BYTES = 1 << 30
+_BYTES_PER_CODED_BIT = 128
+_MAX_INFO_BITS = _BLOCK_BYTES // (_BLOCK_FRAMES * 2 * _BYTES_PER_CODED_BIT)
 _DEGENERATE_REL_TOL = 1e-12
 
 
@@ -68,14 +74,17 @@ def cn_noise(rngs, shape: tuple, n0: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian, variance n0 per entry.
 
     One (*shape) draw per generator, stacked to (len(rngs), *shape); each
-    generator fills its own slab, and the scaling runs once for the stack.
+    generator fills its own slab of (real, imaginary) pairs through a float
+    view of the result, and the scaling runs once, in place, for the stack.
     """
-    if not n0 >= 0:             # also rejects NaN
-        raise ValueError("n0 must be nonnegative")
-    re = np.empty((len(rngs), *shape, 2))
-    for rng, slab in zip(rngs, re):
+    if not 0 <= n0 < np.inf:    # also rejects NaN
+        raise ValueError(f"n0 must be finite and nonnegative, got {n0}")
+    noise = np.empty((len(rngs), *shape), dtype=complex)
+    pairs = noise.view(float).reshape(*noise.shape, 2)
+    for rng, slab in zip(rngs, pairs):
         rng.standard_normal(out=slab)
-    return np.sqrt(n0 / 2.0) * (re[..., 0] + 1j * re[..., 1])
+    pairs *= np.sqrt(n0 / 2.0)
+    return noise
 
 
 def _grid(values) -> tuple:
@@ -119,6 +128,11 @@ class SystemConfig:
         # n_info also rejects unsupported constellation orders (fec.bits_per_symbol)
         if self.n_info < 1:
             raise ValueError("nominal_info_bits too small for one codeword")
+        if self.nominal_info_bits > _MAX_INFO_BITS:
+            raise ValueError(
+                f"nominal_info_bits = {self.nominal_info_bits} exceeds the ceiling of "
+                f"{_MAX_INFO_BITS}, which keeps one {_BLOCK_FRAMES}-frame block "
+                f"within {_BLOCK_BYTES >> 20} MiB")
         for name in ("batch_frames", "max_frames", "target_bit_errors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
@@ -182,6 +196,7 @@ class _FramePipeline:
         self.deint_rows = self.ivl.deinterleave(np.arange(config.n_coded))
         self.beta = np.asarray(config.beta, dtype=float)
         self.paths = np.asarray(config.n_paths)
+        self.work = Workspace()     # the detector's buffers, reused by every block
 
     def submit(self, *batch):
         """Run the batch now; returns the getter of its (info_bits, errors)."""
@@ -205,43 +220,56 @@ class _FramePipeline:
         return n_frames * self.config.n_info, errors
 
     def _run_block(self, n0: float, snr_index: int, frame_start: int, n_frames: int) -> int:
-        """Bit errors of frames [frame_start, frame_start + n_frames) at noise n0."""
+        """Bit errors of frames [frame_start, frame_start + n_frames) at noise n0.
+
+        Each stage's arrays are dropped once the next stage has them, and the
+        detector reuses the pipeline's workspace, so a block's working set
+        stays small and is not paged in afresh for every block.  Mapping
+        draws no random numbers, so symbols are mapped after the channel draw
+        without moving any frame's stream.
+        """
         cfg = self.config
         d, n_info, n_codewords = cfg.dim, cfg.n_info, cfg.n_codewords
         rngs = [np.random.default_rng([cfg.master_seed, 1, snr_index, frame_start + i])
                 for i in range(n_frames)]
 
         info = np.stack([r.integers(0, 2, n_info) for r in rngs]).astype(np.uint8)
-        coded = conv_encode(np.pad(info, ((0, 0), (0, N_TAIL))))
-        inter = coded[:, self.ivl.permutation]
-        x = self.constellation.map_bits(inter).reshape(n_frames, n_codewords, d, d)
+        lam = self._singular_values(rngs)
+        x = self.constellation.map_bits(
+            conv_encode(np.pad(info, ((0, 0), (0, N_TAIL))))[:, self.ivl.permutation])
+        y = encode_batch(self.params, x.reshape(n_frames, n_codewords, d, d))
+        del x
+        y *= lam[:, None, :, None]
+        y += cn_noise(rngs, y.shape[1:], n0)
+        groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
+        del y
 
-        # each pass draws the pending frames (all of them at first) in one
-        # draw_paths call, each channel from its frame's own stream, and
-        # keeps the degenerate ones
-        lam, pending = np.empty((n_frames, d)), np.arange(n_frames)
+        engine = MetricEngine(self.params, self.constellation, lam)
+        # gamma rows (group, position, bit slot) run in mapped coded-bit order
+        gamma = engine.bit_metrics(groups, self.work).reshape(n_frames, -1, 2)
+        del groups
+        decoded = viterbi_decode_batch(gamma[:, self.deint_rows])
+        return int((decoded != info).sum())
+
+    def _singular_values(self, rngs) -> np.ndarray:
+        """The d strongest singular values of each frame's channel, (frames, d).
+
+        Each pass draws the pending frames (all of them at first) in one
+        draw_paths call, each channel from its frame's own stream, and keeps
+        the degenerate ones; the path factors are freed on return.
+        """
+        d = self.config.dim
+        lam, pending = np.empty((len(rngs), d)), np.arange(len(rngs))
         for _ in range(_RESAMPLE_CAP + 1):
             factors = draw_paths([rngs[i] for i in pending], self.geom, self.beta, self.paths)
             cores = path_core(*factors)
             lam[pending] = np.linalg.svd(cores, compute_uv=False)[:, :d]
             pending = pending[is_degenerate(lam[pending])]
             if not pending.size:
-                break
-        else:
-            raise ValueError(
-                f"channel rank starved: {_RESAMPLE_CAP} redraws gave fewer "
-                f"than {d} usable streams; check beta, n_paths and spacing")
-
-        z = encode_batch(self.params, x)
-        y = lam[:, None, :, None] * z
-        y = y + cn_noise(rngs, z.shape[1:], n0)
-        groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
-
-        engine = MetricEngine(self.params, self.constellation, lam)
-        # gamma rows (group, position, bit slot) run in mapped coded-bit order
-        gamma = engine.bit_metrics(groups).reshape(n_frames, -1, 2)
-        decoded = viterbi_decode_batch(gamma[:, self.deint_rows])
-        return int((decoded != info).sum())
+                return lam
+        raise ValueError(
+            f"channel rank starved: {_RESAMPLE_CAP} redraws gave fewer "
+            f"than {d} usable streams; check beta, n_paths and spacing")
 
 
 def _batch_worker(config: SystemConfig, *batch):

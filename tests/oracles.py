@@ -1,5 +1,5 @@
 """Test-side references: the dense channel, channel-power draws, BER crossing,
-and a frame-at-a-time convolutional encoder.
+a frame-at-a-time convolutional encoder and complex noise built from parts.
 
 The package never forms the dense channel or samples the channel power on
 its own; these helpers exist so tests can check the path-core shortcuts
@@ -21,6 +21,18 @@ def conv_encode_reference(bits) -> np.ndarray:
         taps = ((gen >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
         out[which::2] = np.convolve(b, taps)[: b.size] % 2
     return out
+
+
+def cn_noise_reference(rngs, shape: tuple, n0: float) -> np.ndarray:
+    """Complex noise as real and imaginary parts joined after the draw.
+
+    Each generator fills a (*shape, 2) float slab, and the stack is scaled
+    by sqrt(n0 / 2) as re + 1j im, with no view of a complex array.
+    """
+    re = np.empty((len(rngs), *shape, 2))
+    for rng, slab in zip(rngs, re):
+        rng.standard_normal(out=slab)
+    return np.sqrt(n0 / 2.0) * (re[..., 0] + 1j * re[..., 1])
 
 
 def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,

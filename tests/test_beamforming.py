@@ -9,7 +9,7 @@ import pytest
 from bicmb_pc.channel_model import ArrayGeometry
 from bicmb_pc.pstbc import build_params, encode_batch
 from bicmb_pc.sim_engine import cn_noise, is_degenerate, noise_variance
-from oracles import assemble_channel
+from oracles import assemble_channel, cn_noise_reference
 
 GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
 
@@ -45,9 +45,20 @@ def test_cn_noise_statistics():
     assert np.mean(np.abs(x) ** 2) == pytest.approx(0.5, rel=0.02)
     assert np.mean(x).real == pytest.approx(0.0, abs=0.01)
     assert np.mean(x**2) == pytest.approx(0.0, abs=0.01)  # circular symmetry
-    for bad in (-1.0, float("nan")):
-        with pytest.raises(ValueError):
+    for bad in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="n0"):
             cn_noise([rng], (4,), bad)
+
+
+@pytest.mark.parametrize("shape", [(), (7,), (5, 2), (3, 4, 2)])
+@pytest.mark.parametrize("n0", [0.0, 0.3, 2.5])
+def test_cn_noise_matches_reference(shape, n0):
+    """The in-place draw equals re + 1j im of the same draws, element for element."""
+    seeds = (21, 22, 23)
+    got = cn_noise([np.random.default_rng(s) for s in seeds], shape, n0)
+    ref = cn_noise_reference([np.random.default_rng(s) for s in seeds], shape, n0)
+    assert got.shape == ref.shape == (len(seeds), *shape)
+    assert np.array_equal(got, ref)
 
 
 def test_cn_noise_stacks_per_generator_draws():

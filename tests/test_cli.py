@@ -157,6 +157,26 @@ def test_out_of_memory_is_a_one_line_error(config_file, tmp_path, capsys,
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_oversized_frame_is_rejected_before_any_work(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "huge.cfg"
+    path.write_text(BASE_CONFIG.replace("nominal_info_bits = 128",
+                                        "nominal_info_bits = 10000000000000"))
+    with pytest.raises(ValueError, match="nominal_info_bits"):
+        load_config(str(path))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("Monte Carlo work started")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "4", "--snr-max", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: nominal_info_bits = 10000000000000 exceeds")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_analyze_reports_diversity(config_file, tmp_path, capsys):
     out = tmp_path / "res.csv"
     main(["sweep", "--config", str(config_file), "--out", str(out),

@@ -240,6 +240,36 @@ def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
     assert depths and set(depths) == {1 if limit == 16 else 2}
 
 
+def test_shared_workspace_keeps_peeled_metrics_exact():
+    """Peeled D=4 and D=6 16-QAM calls on one workspace, between grid calls,
+    match the oracle frame by frame, so the grid's output store and the
+    peeled output never share a slot."""
+    work = detector.Workspace()
+    c = QamConstellation(16)
+    rng = np.random.default_rng(700)
+    for d in (4, 2, 6, 4):
+        params = build_params(d)
+        lam = np.stack([random_lam(rng, d) for _ in range(2)])
+        groups = np.stack([noisy_groups(rng, params, c, row, 2, 0.3) for row in lam])
+        got = MetricEngine(params, c, lam).bit_metrics(groups, work)
+        for f in range(2):
+            q, r = qr_reduce(lam[f][:, None] * params.generator)
+            assert np.allclose(got[f], sphere_metrics(groups[f] @ q.conj(), r, c), atol=1e-10)
+
+
+def test_standalone_results_are_not_overwritten():
+    """Without a workspace each call owns its result."""
+    rng = np.random.default_rng(710)
+    params, c = build_params(2), QamConstellation(16)
+    lam = random_lam(rng, 2)
+    engine = MetricEngine(params, c, lam)
+    first = engine.bit_metrics(noisy_groups(rng, params, c, lam, 5, 0.3))
+    kept = first.copy()
+    second = engine.bit_metrics(noisy_groups(rng, params, c, lam, 5, 0.3))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept)
+
+
 @pytest.mark.parametrize("sigma", [0.1, 0.3])
 def test_peeled_d6_16qam_matches_sphere_oracle(sigma):
     rng = np.random.default_rng(600 + int(100 * sigma))

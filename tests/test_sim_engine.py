@@ -346,6 +346,36 @@ def test_point_result_ber_property():
     assert r.ber == 0.005
 
 
+def test_frame_ceiling_is_checked_at_config_time():
+    ceiling = sim_engine._MAX_INFO_BITS
+    assert SystemConfig(nominal_info_bits=ceiling).n_info <= ceiling
+    for bad in (ceiling + 1, 10_000_000_000_000):
+        with pytest.raises(ValueError, match=f"nominal_info_bits = {bad} exceeds"):
+            SystemConfig(nominal_info_bits=bad)
+
+
+def test_pipeline_reuses_its_detector_workspace(monkeypatch):
+    """Two batches on one pipeline share the detector's buffers and match fresh pipelines."""
+    calls = []
+    original = MetricEngine.bit_metrics
+
+    def spy(self, groups, work=None):
+        gamma = original(self, groups, work)
+        calls.append((work, gamma, dict(work._buffers)))
+        return gamma
+
+    monkeypatch.setattr(MetricEngine, "bit_metrics", spy)
+    pipe = sim_engine._FramePipeline(SMALL)
+    counts = [pipe.run_batch(6.0, 0, start, 8) for start in (0, 8)]
+    (work_a, gamma_a, held_a), (work_b, gamma_b, held_b) = calls
+    assert work_a is work_b is pipe.work
+    assert np.shares_memory(gamma_a, gamma_b)
+    assert held_a.keys() == held_b.keys()
+    assert all(held_b[name] is buf for name, buf in held_a.items())
+    assert counts == [sim_engine._FramePipeline(SMALL).run_batch(6.0, 0, start, 8)
+                      for start in (0, 8)]
+
+
 def test_large_batch_equals_its_blocks():
     pipe = sim_engine._FramePipeline(SMALL)
     whole = pipe.run_batch(6.0, 0, 0, 1024)
