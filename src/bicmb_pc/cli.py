@@ -22,6 +22,7 @@ from .fec import (N_TAIL, Interleaver, QamConstellation, conv_encode, free_dista
                   viterbi_decode_batch)
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 from .sim_engine import (
+    MAX_WORKERS,
     SystemConfig,
     config_hash,
     read_csv,
@@ -87,9 +88,9 @@ def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
     return SystemConfig(**values)
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+def _worker_count(text: str) -> int:
+    if not 1 <= int(text) <= MAX_WORKERS:
+        raise argparse.ArgumentTypeError(f"must be from 1 to {MAX_WORKERS}, got {text}")
     return int(text)
 
 
@@ -241,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--snr-step", type=float, default=1.0)
     sweep.add_argument("--seed", type=int, default=None,
                        help="override master_seed from the config")
-    sweep.add_argument("--workers", type=_positive_int, default=1)
+    sweep.add_argument("--workers", type=_worker_count, default=1)
     sweep.set_defaults(func=_cmd_sweep)
 
     analyze = sub.add_parser("analyze", help="diversity report for a sweep CSV")

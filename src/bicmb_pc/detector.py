@@ -27,8 +27,9 @@ from .fec import QamConstellation
 from .pstbc import PerfectCodeParams
 
 
-# (group, candidate) pairs per LORD chunk; bounds the detector's memory
-_CHUNK_PAIRS = 1 << 15
+# (group, candidate) pairs per LORD chunk; bounds the detector's memory, and
+# at 1 << 14 a D = 2 or 3 16-QAM chunk's buffers (1.6-1.9 MiB) fit a 2 MiB L2
+_CHUNK_PAIRS = 1 << 14
 # candidates per LORD grid; top layers are peeled until the grid fits, so a
 # chunk keeps at least _CHUNK_PAIRS // _GRID_MAX (frame, group) pairs per slab
 _GRID_MAX = 1024

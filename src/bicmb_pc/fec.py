@@ -14,12 +14,13 @@ The trellis runs as butterflies with frames on the innermost axis: states
 2j and 2j + 1 feed states j and 32 + j, so one step is one broadcast add,
 one compare and one minimum over (2, 2, 32, n_frames) candidates.  Branch
 metrics are built for a chunk of steps at a time from the 4 possible coded
-pairs, and each step's 64 survivor decisions per frame are packed into one
-uint64, packbits running along the last axis of a (steps, frames, states)
-copy.  The traceback reads them with in-place shifts and masks; the
-decision d_t of the survivor state at step t is the low bit of its
-predecessor, which is the input of step t - 6, so u_(t-6) = d_t is read
-off directly with no separate bit extraction.
+pairs, gathering only that chunk's metric rows (in whatever row order the
+caller stores them), and each step's 64 survivor decisions per frame are
+packed into one uint64, packbits running along the last axis of a (steps,
+frames, states) copy.  The traceback reads them with in-place shifts and
+masks; the decision d_t of the survivor state at step t is the low bit of
+its predecessor, which is the input of step t - 6, so u_(t-6) = d_t is
+read off directly with no separate bit extraction.
 
 There is no radix-4 (two steps per pass) trellis: the tie rule (lower
 predecessor wins) needs the step-1 decisions on the pm + b1 sums, so two
@@ -112,21 +113,31 @@ def free_distance() -> int:
     return int(best_merge)
 
 
-def viterbi_decode_batch(metrics: np.ndarray) -> np.ndarray:
+def viterbi_decode_batch(metrics: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """Decode a batch of frames of per-coded-bit metric pairs.
 
-    metrics: (n_frames, 2*T, 2) with metrics[f, k, v] the cost of coded bit
-    k taking value v; +inf forbids a value, NaN and -inf are rejected.
-    Paths start and end in state 0; ties prefer the lower predecessor
-    state.  Returns (n_frames, T - N_TAIL) info bits.
+    metrics: (n_frames, 2*T, 2) with metrics[f, order[k], v] the cost of
+    coded bit k taking value v; +inf forbids a value, NaN and -inf are
+    rejected.  order is a permutation of the 2*T rows (None: the identity),
+    so a caller holding metrics in another order, such as interleaved,
+    passes its store and the row of each coded bit instead of a reordered
+    copy; each chunk of steps gathers only its own rows.  Paths start and
+    end in state 0; ties prefer the lower predecessor state.  Returns
+    (n_frames, T - N_TAIL) info bits.
     """
-    m = np.asarray(metrics, dtype=float)
+    # np.take gathers fast only from a C-ordered array (a store already is)
+    m = np.ascontiguousarray(metrics, dtype=float)
     if m.ndim != 3 or m.shape[2] != 2 or m.shape[1] % 2:
         raise ValueError("metrics must be shaped (n_frames, 2*T, 2)")
     n_frames, twot, _ = m.shape
     steps = twot // 2
     if steps <= N_TAIL:
         raise ValueError("frame shorter than the tail")
+    rows = np.arange(twot) if order is None else np.asarray(order)
+    if rows.shape != (twot,) or rows.dtype.kind not in "iu" \
+            or not np.array_equal(np.sort(rows), np.arange(twot)):
+        raise ValueError(f"order must be a permutation of the {twot} metric rows")
+    rows = rows.reshape(steps, 2)       # the rows of each step's two coded bits
     if not (m > -np.inf).all():
         raise ValueError("metrics must not be NaN or -inf")
     lab = _tables()[3]
@@ -145,10 +156,9 @@ def viterbi_decode_batch(metrics: np.ndarray) -> np.ndarray:
     packed = np.empty((steps, n_frames), dtype="<u8")
     for t0 in range(0, steps, _CHUNK):
         n = min(_CHUNK, steps - t0)
-        # bm4[t, c, f] = m[f, 2t, c >> 1] + m[f, 2t + 1, c & 1]
-        first = m[:, 2 * t0:2 * (t0 + n):2].transpose(1, 2, 0)
-        second = m[:, 2 * t0 + 1:2 * (t0 + n):2].transpose(1, 2, 0)
-        bm4 = (first[:, :, None] + second[:, None, :]).reshape(n, 4, n_frames)
+        # bm4[t, c, f] = m[f, order[2t], c >> 1] + m[f, order[2t + 1], c & 1]
+        pair = np.take(m, rows[t0:t0 + n], axis=1).transpose(1, 2, 3, 0)  # (step, bit, value, f)
+        bm4 = (pair[:, 0, :, None] + pair[:, 1, None, :]).reshape(n, 4, n_frames)
         blk = bm4[:, lab]
         for t in range(n):
             np.add(pm_pairs, blk[t], out=cand)

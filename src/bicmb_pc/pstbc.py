@@ -13,10 +13,11 @@ entry (u, c) of Z belongs to layer v = ((c - u) mod D) + 1 and equals
 
 That placement is one table, built once per dimension: row u of E^v has
 its single nonzero entry, 1 or g, in column (u + v) mod D.  encode_batch
-scatters each layer along it, for one (D, D) block of input vectors or any
-stack (..., D, D) of them.  group_decompose is its inverse at the
-receiver: it gathers the layers of diag(lam) Z + N and removes the wrap
-weights, leaving diag(lam) G x_v plus white noise per layer.
+weights every layer and scatters all of them along it in one indexed
+assignment, for one (D, D) block of input vectors or any stack (..., D, D)
+of them.  group_decompose is its inverse at the receiver: it gathers the
+layers of diag(lam) Z + N and removes the wrap weights, leaving
+diag(lam) G x_v plus white noise per layer.
 
 Generators: the Golden code for D = 2; for D = 3, 4, 6 the cyclotomic
 constructions over Q(omega, 2cos(2pi/7)), Q(i, 2cos(2pi/15)) and
@@ -169,10 +170,10 @@ def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
         raise ValueError("inputs must be finite")
     rotated = (x.reshape(-1, d) @ params.generator.T).reshape(x.shape)
     cols, weights = _layout(d, params.g)
-    rows = np.arange(d)
-    z = np.zeros_like(x)
-    for v in range(d):
-        z[..., rows, cols[v]] = rotated[..., v, :] * weights[v]
+    rotated *= weights
+    # the D layers cover every entry once, so one scatter fills z
+    z = np.empty_like(x)
+    z[..., np.arange(d), cols] = rotated
     return z
 
 

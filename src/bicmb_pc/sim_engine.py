@@ -43,13 +43,17 @@ from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 
 _RESAMPLE_CAP = 1000
 _BLOCK_FRAMES = 64          # frames simulated at once; bounds a batch's memory
-# A block's working set grows by 45-87 bytes per coded bit of each frame
-# (tracemalloc peak from 1024 to 16384 info bits, D = 2 to peeled D = 4
-# 16-QAM); at 128 bytes a 1 GiB block budget admits 65536 info bits.
+# A block's working set grows by 26-48 bytes per coded bit of each frame
+# (tracemalloc peak of a fresh pipeline's first 64-frame batch, from 1024
+# to 16384 info bits, D = 2 to peeled D = 4 16-QAM); at 128 bytes a 1 GiB
+# block budget admits 65536 info bits.
 _BLOCK_BYTES = 1 << 30
 _BYTES_PER_CODED_BIT = 128
 _MAX_INFO_BITS = _BLOCK_BYTES // (_BLOCK_FRAMES * 2 * _BYTES_PER_CODED_BIT)
 _DEGENERATE_REL_TOL = 1e-12
+# A pool starts all its workers at once and a round submits one batch per
+# worker, so the count is capped; past the CPU count nothing is gained.
+MAX_WORKERS = 64
 
 
 def is_degenerate(lam: np.ndarray):
@@ -245,10 +249,11 @@ class _FramePipeline:
         del y
 
         engine = MetricEngine(self.params, self.constellation, lam)
-        # gamma rows (group, position, bit slot) run in mapped coded-bit order
+        # gamma rows (group, position, bit slot) run in interleaved coded-bit
+        # order; the decoder reads coded bit k from row deint_rows[k] in place
         gamma = engine.bit_metrics(groups, self.work).reshape(n_frames, -1, 2)
         del groups
-        decoded = viterbi_decode_batch(gamma[:, self.deint_rows])
+        decoded = viterbi_decode_batch(gamma, self.deint_rows)
         return int((decoded != info).sum())
 
     def _singular_values(self, rngs) -> np.ndarray:
@@ -295,6 +300,11 @@ class _PoolRunner:
         self.pool.shutdown(cancel_futures=True)
 
 
+def _check_workers(workers: int) -> None:
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must be from 1 to {MAX_WORKERS}, got {workers}")
+
+
 def _open_runner(config: SystemConfig, workers: int):
     """The one place that picks in-process or pooled batches."""
     return _FramePipeline(config) if workers == 1 else _PoolRunner(config, workers)
@@ -312,8 +322,7 @@ def run_ber_point(config: SystemConfig, snr_db: float, snr_index: int = 0,
     _FramePipeline or a _PoolRunner); without one, a runner is opened here
     and closed before returning.
     """
-    if workers < 1:
-        raise ValueError("workers must be positive")
+    _check_workers(workers)
     runner = (contextlib.nullcontext(pipeline) if pipeline is not None
               else contextlib.closing(_open_runner(config, workers)))
     snr = float("inf") if noiseless else snr_db     # noise_variance(., inf) == 0
@@ -340,6 +349,7 @@ def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointRes
     grid = [float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float))]
     if not grid:
         raise ValueError("empty SNR grid")
+    _check_workers(workers)
     with contextlib.closing(_open_runner(config, workers)) as runner:
         return [run_ber_point(config, s, i, workers, pipeline=runner)
                 for i, s in enumerate(grid)]

@@ -1,5 +1,6 @@
 """Test-side references: the dense channel, channel-power draws, BER crossing,
-a frame-at-a-time convolutional encoder and complex noise built from parts.
+a frame-at-a-time convolutional encoder, a layer-at-a-time codeword encoder
+and complex noise built from parts.
 
 The package never forms the dense channel or samples the channel power on
 its own; these helpers exist so tests can check the path-core shortcuts
@@ -11,6 +12,7 @@ import numpy as np
 
 from bicmb_pc.channel_model import ArrayGeometry, draw_paths, path_core
 from bicmb_pc.fec import GENERATORS, K
+from bicmb_pc.pstbc import PerfectCodeParams, _layout
 
 
 def conv_encode_reference(bits) -> np.ndarray:
@@ -21,6 +23,22 @@ def conv_encode_reference(bits) -> np.ndarray:
         taps = ((gen >> np.arange(K - 1, -1, -1)) & 1).astype(np.uint8)
         out[which::2] = np.convolve(b, taps)[: b.size] % 2
     return out
+
+
+def encode_batch_reference(params: PerfectCodeParams, x) -> np.ndarray:
+    """Codewords of input stacks x (..., D, D), placed one layer at a time.
+
+    Layer v's weighted rotated vector goes to row u, column cols[v, u] of
+    a zeroed matrix, one indexed assignment per layer.
+    """
+    d = params.dim
+    rotated = (x.reshape(-1, d) @ params.generator.T).reshape(x.shape)
+    cols, weights = _layout(d, params.g)
+    rows = np.arange(d)
+    z = np.zeros_like(x)
+    for v in range(d):
+        z[..., rows, cols[v]] = rotated[..., v, :] * weights[v]
+    return z
 
 
 def cn_noise_reference(rngs, shape: tuple, n0: float) -> np.ndarray:

@@ -4,7 +4,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from bicmb_pc import cli
+from bicmb_pc import cli, sim_engine
 from bicmb_pc.analysis import pep_bound, zeta_min
 from bicmb_pc.cli import load_config, main
 from bicmb_pc.fec import QamConstellation
@@ -305,6 +305,22 @@ def test_usage_error_exits_two():
 
 def test_workers_below_one_is_a_usage_error(config_file, tmp_path, capsys):
     for bad in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(config_file),
+                  "--out", str(tmp_path / "x.csv"),
+                  "--snr-min", "1", "--snr-max", "1", "--workers", bad])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_workers_above_the_cap_is_a_usage_error(config_file, tmp_path, capsys, monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", NoPool)
+    for bad in ("65", "100000"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(config_file),
                   "--out", str(tmp_path / "x.csv"),

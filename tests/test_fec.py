@@ -189,19 +189,36 @@ def test_viterbi_batch_matches_single():
     (3, 43, "integer"),
     (3, 43, "inf"),
     (64, 1030, "soft"),
+    (4, 80, "order"),
+    (3, 43, "order"),
 ])
 def test_viterbi_matches_reference(n_frames, steps, kind):
     # 43 and 1030 steps are not whole multiples of the branch-metric chunk
     rng = np.random.default_rng([17, n_frames, steps])
-    if kind == "integer":       # ties between survivors are frequent
+    if kind in ("integer", "order"):    # ties between survivors are frequent
         m = rng.integers(0, 3, size=(n_frames, 2 * steps, 2)).astype(float)
     else:
         m = rng.uniform(size=(n_frames, 2 * steps, 2))
-    if kind == "inf":           # forbidden values, some bits with both forbidden
+    if kind in ("inf", "order"):        # forbidden values, some bits with both forbidden
         m[rng.uniform(size=m.shape) < 0.1] = np.inf
-    got = viterbi_decode_batch(m)
+    if kind == "order":         # coded bit k is read from row order[k]
+        order = rng.permutation(2 * steps)
+        got, expected = viterbi_decode_batch(m, order), reference_viterbi(m[:, order])
+    else:
+        got, expected = viterbi_decode_batch(m), reference_viterbi(m)
     assert got.shape == (n_frames, steps - N_TAIL)
-    assert np.array_equal(got, reference_viterbi(m))
+    assert np.array_equal(got, expected)
+
+
+def test_viterbi_rejects_an_order_that_is_not_a_permutation():
+    m = np.zeros((2, 40, 2))
+    rows = np.arange(40)
+    for bad in (rows[:-1], np.append(rows, 0), np.where(rows == 3, 4, rows),
+                np.where(rows == 3, 40, rows), np.where(rows == 3, -1, rows),
+                rows.astype(float), rows.reshape(20, 2)):
+        with pytest.raises(ValueError, match="permutation"):
+            viterbi_decode_batch(m, bad)
+    assert np.array_equal(viterbi_decode_batch(m, rows[::-1]), viterbi_decode_batch(m))
 
 
 def test_viterbi_rejects_nan_and_minus_inf():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bicmb_pc import pstbc
+from oracles import encode_batch_reference
 
 
 ALL_DIMS = pstbc.SUPPORTED_DIMS
@@ -193,6 +194,16 @@ def shift_power_encode(params, x):
     for v in range(d):
         z += rotated[..., v, :, None] * powers[v]
     return z
+
+
+@pytest.mark.parametrize("d", ALL_DIMS)
+def test_encode_batch_is_bit_identical_to_per_layer_placement(d):
+    rng = np.random.default_rng(80 + d)
+    params = pstbc.build_params(d)
+    x = rng.standard_normal((64, 30, d, d)) + 1j * rng.standard_normal((64, 30, d, d))
+    assert np.array_equal(pstbc.encode_batch(params, x), encode_batch_reference(params, x))
+    assert np.array_equal(pstbc.encode_batch(params, x[3, 4]),
+                          encode_batch_reference(params, x[3, 4]))
 
 
 @pytest.mark.parametrize("d", ALL_DIMS)

@@ -210,6 +210,43 @@ def test_sweep_opens_one_pool(monkeypatch):
     assert pooled == serial
 
 
+def test_worker_counts_above_the_cap_start_no_pool(monkeypatch):
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was built")
+
+    monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", NoPool)
+    too_many = sim_engine.MAX_WORKERS + 1
+    for bad in (0, too_many, 100000):
+        with pytest.raises(ValueError, match="workers must be from 1 to 64"):
+            run_ber_point(SMALL, snr_db=6.0, workers=bad)
+        with pytest.raises(ValueError, match="workers must be from 1 to 64"):
+            run_sweep(SMALL, [6.0], workers=bad)
+    # the cap itself is admitted: the sweep goes on to build its pool
+    with pytest.raises(AssertionError, match="pool was built"):
+        run_sweep(SMALL, [6.0], workers=sim_engine.MAX_WORKERS)
+
+
+def test_decoder_reads_the_detectors_store_in_place(monkeypatch):
+    stores, decoded_from = [], []
+    bit_metrics = MetricEngine.bit_metrics
+    viterbi = sim_engine.viterbi_decode_batch
+
+    def store_spy(self, *args):
+        stores.append(bit_metrics(self, *args))
+        return stores[-1]
+
+    def viterbi_spy(metrics, *args):
+        decoded_from.append(metrics)
+        return viterbi(metrics, *args)
+
+    monkeypatch.setattr(MetricEngine, "bit_metrics", store_spy)
+    monkeypatch.setattr(sim_engine, "viterbi_decode_batch", viterbi_spy)
+    sim_engine._FramePipeline(SMALL).run_batch(6.0, 0, 0, 8)
+    assert decoded_from[0].shape == (8, SMALL.n_coded, 2)
+    assert np.shares_memory(decoded_from[0], stores[0])
+
+
 def test_worker_builds_one_pipeline_per_config(monkeypatch):
     expected = sim_engine._FramePipeline(SMALL).run_batch(6.0, 0, 8, 8)
     built = []
