@@ -20,15 +20,6 @@ from .fec import QamConstellation
 from .pstbc import PerfectCodeParams
 
 
-def _as_grid(values, like=None):
-    arr = np.asarray(values, dtype=object)
-    if arr.ndim == 0:
-        if like is None:
-            raise ValueError("scalar path count needs a beta grid for its shape")
-        arr = np.full(np.asarray(like, dtype=object).shape, arr[()], dtype=object)
-    return arr
-
-
 def _exactable(arr) -> bool:
     return all(isinstance(v, (Integral, Fraction)) for v in arr.ravel())
 
@@ -37,14 +28,13 @@ def welch_satterthwaite(beta, n_paths):
     """Moment-matched Gamma shape and scale for the channel power.
 
     beta: (l_r, l_t) grid of large-scale gains.  n_paths: matching grid of
-    per-block path counts, or a scalar applied to every block.  Returns
-    (kappa, theta); exact Fractions when every input is an integer or
-    Fraction, floats otherwise.
+    per-block path counts.  Returns (kappa, theta); exact Fractions when
+    every input is an integer or Fraction, floats otherwise.
     """
     b = np.asarray(beta, dtype=object)
     if b.ndim != 2:
         raise ValueError("beta must be a 2-d grid")
-    paths = _as_grid(n_paths, like=b)
+    paths = np.asarray(n_paths, dtype=object)
     if paths.shape != b.shape:
         raise ValueError("n_paths grid must match beta shape")
     for p in paths.ravel():

@@ -76,7 +76,7 @@ def _draw_frame(rng: np.random.Generator, counts: np.ndarray):
 def _check_beta(beta, geom: ArrayGeometry) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     if b.shape != (geom.l_r, geom.l_t):
-        raise ValueError(f"beta must have shape ({geom.l_r}, {geom.l_t})")
+        raise ValueError(f"beta must have shape ({geom.l_r}, {geom.l_t}), got shape {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("beta entries must be finite")
     if (b < 0).any():
@@ -90,7 +90,8 @@ def _check_paths(n_paths, geom: ArrayGeometry) -> np.ndarray:
     if p.ndim == 0:
         p = np.full((geom.l_r, geom.l_t), p)
     if p.shape != (geom.l_r, geom.l_t):
-        raise ValueError(f"n_paths must be scalar or shaped ({geom.l_r}, {geom.l_t})")
+        raise ValueError(f"n_paths must be scalar or shaped ({geom.l_r}, {geom.l_t}), "
+                         f"got shape {p.shape}")
     if not np.issubdtype(p.dtype, np.integer) or (p < 1).any():
         raise ValueError("path counts must be positive integers")
     return p.astype(int)

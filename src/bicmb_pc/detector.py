@@ -116,7 +116,8 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray, constellation: QamConstellatio
 
     While the grid K^(d-1-peel) has more than _GRID_MAX candidates one more
     top layer is peeled; the peeled path runs frame by frame on chunks of
-    groups, each leaf grid on a workspace of its own.
+    groups, each leaf grid on work's grid buffers, which the "peeled" store
+    does not share.
     """
     c = constellation
     n_frames, n, d = qobs.shape
@@ -129,7 +130,7 @@ def lord_metrics(qobs: np.ndarray, r: np.ndarray, constellation: QamConstellatio
     step = max(1, _CHUNK_PAIRS // c.order ** peel)
     for f in range(n_frames):
         for g0 in range(0, n, step):
-            gamma[f, g0:g0 + step] = _peeled(qobs[f, g0:g0 + step], r[f], peel, c)
+            gamma[f, g0:g0 + step] = _peeled(qobs[f, g0:g0 + step], r[f], peel, c, work)
     return gamma
 
 
@@ -150,7 +151,8 @@ def _achievable_bound(q: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.n
     return cost[..., c.subset_indices].min(axis=-1).max(axis=(1, 2, 3))
 
 
-def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.ndarray:
+def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation,
+            work: Workspace) -> np.ndarray:
     """Subset minima of one frame's groups q (n, d) with `peel` top layers peeled.
 
     Prefixes x_(d-peel+1)..x_d whose partial cost tops the group's
@@ -170,7 +172,7 @@ def _peeled(q: np.ndarray, r: np.ndarray, peel: int, c: QamConstellation) -> np.
         labels = np.column_stack([lab, labels[keep]])
         sub = sub[keep, :level] - c.points[lab, None] * r[:level, level]
     top = d - peel
-    leaf = _lord_grid(sub[None], r[None, :top, :top], c, Workspace())[0]
+    leaf = _lord_grid(sub[None], r[None, :top, :top], c, work)[0]
     leaf = leaf + off[:, None, None, None]
     best = leaf[:, 0, 0].min(axis=-1)[:, None, None, None]
     peeled = np.where(c.label_bits[labels][..., None] == (0, 1), best, np.inf)

@@ -26,6 +26,11 @@ There is no radix-4 (two steps per pass) trellis: the tie rule (lower
 predecessor wins) needs the step-1 decisions on the pm + b1 sums, so two
 fused steps would do the same adds and compares as two single ones.
 
+The interleaver is one table, built once per frame length and seed:
+interleaver(n_bits, seed) returns default_rng(seed).permutation(n_bits)
+and its inverse, and the frame pipeline keeps the pair, permuting coded
+bits by the first and decoding by the second.
+
 QamConstellation is the one owner of the Gray labeling: it builds the label
 bits, per-axis level indices, axis levels, bit-to-axis and per-bit level
 subset tables once, and the detector, zeta_min and the self checks read
@@ -185,28 +190,14 @@ def viterbi_decode_batch(metrics: np.ndarray, order: np.ndarray | None = None) -
     return bits.T.astype(np.uint8)
 
 
-class Interleaver:
-    """Seeded random permutation applied to coded bits (or metric rows)."""
+def interleaver(n_bits: int, seed: int):
+    """(permutation, inverse) of the seeded bit interleaver over n_bits coded bits.
 
-    def __init__(self, n_bits: int, seed: int):
-        if n_bits < 1:
-            raise ValueError("n_bits must be positive")
-        self.n_bits = n_bits
-        self.seed = seed
-        self.permutation = np.random.default_rng(seed).permutation(n_bits)
-        self._inverse = np.argsort(self.permutation)
-
-    def interleave(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[0] != self.n_bits:
-            raise ValueError(f"expected leading dimension {self.n_bits}, got {x.shape[0]}")
-        return x[self.permutation]
-
-    def deinterleave(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape[0] != self.n_bits:
-            raise ValueError(f"expected leading dimension {self.n_bits}, got {x.shape[0]}")
-        return x[self._inverse]
+    Slot i carries coded bit permutation[i], so coded bit k sits in slot
+    inverse[k].
+    """
+    permutation = np.random.default_rng(seed).permutation(n_bits)
+    return permutation, np.argsort(permutation)
 
 
 def bits_per_symbol(order: int) -> int:

@@ -11,8 +11,9 @@ corner.  E^D = g I, so the D layers occupy D disjoint twisted diagonals:
 entry (u, c) of Z belongs to layer v = ((c - u) mod D) + 1 and equals
 (G x_v)_u, times g when the diagonal wraps (c < u).
 
-That placement is one table, built once per dimension: row u of E^v has
-its single nonzero entry, 1 or g, in column (u + v) mod D.  encode_batch
+That placement is one table, built once per dimension with the rest of
+PerfectCodeParams: row u of E^v has its single nonzero entry, 1 or g, in
+column (u + v) mod D, held as params.cols and params.weights.  encode_batch
 weights every layer and scatters all of them along it in one indexed
 assignment, for one (D, D) block of input vectors or any stack (..., D, D)
 of them.  group_decompose is its inverse at the receiver: it gathers the
@@ -81,12 +82,16 @@ class PerfectCodeParams:
 
     generator: unitary D x D matrix G applied to each input vector.
     shift: the twisted shift matrix E.
+    cols, weights: the layout table; row u of E^v holds weights[v, u] at
+    column cols[v, u].
     """
 
     dim: int
     g: complex
     generator: np.ndarray
     shift: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
 
 
 def _golden_generator() -> np.ndarray:
@@ -120,17 +125,6 @@ def _shift_matrix(dim: int, g: complex) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _layout(dim: int, g: complex):
-    """(cols, weights): row u of E^v has weights[v, u] at column cols[v, u]."""
-    total = np.arange(dim)[:, None] + np.arange(dim)
-    cols = total % dim
-    weights = np.where(total >= dim, g, 1.0 + 0j)
-    for arr in (cols, weights):
-        arr.setflags(write=False)
-    return cols, weights
-
-
-@lru_cache(maxsize=None)
 def build_params(dim: int) -> PerfectCodeParams:
     """Build (and verify) the code parameters for one dimension."""
     if dim not in SUPPORTED_DIMS:
@@ -146,15 +140,18 @@ def build_params(dim: int) -> PerfectCodeParams:
     if shift_err > 1e-12:
         raise AssertionError(f"shift matrix for D={dim} violates E^D = gI (err {shift_err:.2e})")
 
-    cols, weights = _layout(dim, g)
+    total = np.arange(dim)[:, None] + np.arange(dim)
+    cols = total % dim
+    weights = np.where(total >= dim, g, 1.0 + 0j)
     for v in range(dim):
         table = np.zeros((dim, dim), dtype=complex)
         table[np.arange(dim), cols[v]] = weights[v]
         if np.abs(np.linalg.matrix_power(shift, v) - table).max() > 1e-12:
             raise AssertionError(f"layout table for D={dim} misplaces E^{v}")
-    for arr in (gen, shift):
+    for arr in (gen, shift, cols, weights):
         arr.setflags(write=False)
-    return PerfectCodeParams(dim=dim, g=g, generator=gen, shift=shift)
+    return PerfectCodeParams(dim=dim, g=g, generator=gen, shift=shift,
+                             cols=cols, weights=weights)
 
 
 def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
@@ -169,11 +166,10 @@ def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("inputs must be finite")
     rotated = (x.reshape(-1, d) @ params.generator.T).reshape(x.shape)
-    cols, weights = _layout(d, params.g)
-    rotated *= weights
+    rotated *= params.weights
     # the D layers cover every entry once, so one scatter fills z
     z = np.empty_like(x)
-    z[..., np.arange(d), cols] = rotated
+    z[..., np.arange(d), params.cols] = rotated
     return z
 
 
@@ -187,5 +183,4 @@ def group_decompose(y: np.ndarray, params: PerfectCodeParams) -> np.ndarray:
     d = params.dim
     if y.shape[-2:] != (d, d):
         raise ValueError(f"observation trailing dims must be ({d}, {d})")
-    cols, weights = _layout(d, params.g)
-    return weights.conj() * y[..., np.arange(d), cols]
+    return params.weights.conj() * y[..., np.arange(d), params.cols]

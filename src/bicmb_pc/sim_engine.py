@@ -37,7 +37,7 @@ import numpy as np
 
 from .channel_model import ArrayGeometry, _check_beta, _check_paths, draw_paths, path_core
 from .detector import MetricEngine, Workspace
-from .fec import (N_TAIL, Interleaver, QamConstellation, bits_per_symbol, conv_encode,
+from .fec import (N_TAIL, QamConstellation, bits_per_symbol, conv_encode, interleaver,
                   viterbi_decode_batch)
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 
@@ -196,8 +196,7 @@ class _FramePipeline:
         self.params = build_params(config.dim)
         self.constellation = QamConstellation(config.constellation_order)
         self.geom = config.geometry
-        self.ivl = Interleaver(config.n_coded, seed=config.master_seed)
-        self.deint_rows = self.ivl.deinterleave(np.arange(config.n_coded))
+        self.perm, self.deint_rows = interleaver(config.n_coded, config.master_seed)
         self.beta = np.asarray(config.beta, dtype=float)
         self.paths = np.asarray(config.n_paths)
         self.work = Workspace()     # the detector's buffers, reused by every block
@@ -240,7 +239,7 @@ class _FramePipeline:
         info = np.stack([r.integers(0, 2, n_info) for r in rngs]).astype(np.uint8)
         lam = self._singular_values(rngs)
         x = self.constellation.map_bits(
-            conv_encode(np.pad(info, ((0, 0), (0, N_TAIL))))[:, self.ivl.permutation])
+            conv_encode(np.pad(info, ((0, 0), (0, N_TAIL))))[:, self.perm])
         y = encode_batch(self.params, x.reshape(n_frames, n_codewords, d, d))
         del x
         y *= lam[:, None, :, None]

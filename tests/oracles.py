@@ -12,7 +12,7 @@ import numpy as np
 
 from bicmb_pc.channel_model import ArrayGeometry, draw_paths, path_core
 from bicmb_pc.fec import GENERATORS, K
-from bicmb_pc.pstbc import PerfectCodeParams, _layout
+from bicmb_pc.pstbc import PerfectCodeParams
 
 
 def conv_encode_reference(bits) -> np.ndarray:
@@ -28,16 +28,15 @@ def conv_encode_reference(bits) -> np.ndarray:
 def encode_batch_reference(params: PerfectCodeParams, x) -> np.ndarray:
     """Codewords of input stacks x (..., D, D), placed one layer at a time.
 
-    Layer v's weighted rotated vector goes to row u, column cols[v, u] of
-    a zeroed matrix, one indexed assignment per layer.
+    Layer v's weighted rotated vector goes to row u, column params.cols[v, u]
+    of a zeroed matrix, one indexed assignment per layer.
     """
     d = params.dim
     rotated = (x.reshape(-1, d) @ params.generator.T).reshape(x.shape)
-    cols, weights = _layout(d, params.g)
     rows = np.arange(d)
     z = np.zeros_like(x)
     for v in range(d):
-        z[..., rows, cols[v]] = rotated[..., v, :] * weights[v]
+        z[..., rows, params.cols[v]] = rotated[..., v, :] * params.weights[v]
     return z
 
 

@@ -12,7 +12,7 @@ from oracles import snr_at_ber
 
 
 def test_uniform_profile_exact_kappa():
-    kappa, theta = welch_satterthwaite([[1, 1], [1, 1]], 2)
+    kappa, theta = welch_satterthwaite([[1, 1], [1, 1]], [[2, 2], [2, 2]])
     assert isinstance(kappa, Fraction)
     assert kappa == Fraction(8)
     assert theta == Fraction(1, 2)
@@ -31,7 +31,7 @@ def test_kappa_theta_product_is_total_gain():
 
 
 def test_float_inputs_give_floats():
-    kappa, theta = welch_satterthwaite(0.01 * np.ones((2, 2)), 2)
+    kappa, theta = welch_satterthwaite(0.01 * np.ones((2, 2)), [[2, 2], [2, 2]])
     assert isinstance(kappa, float)
     assert kappa == pytest.approx(8.0, abs=1e-12)
     assert theta == pytest.approx(0.005, abs=1e-15)
@@ -51,15 +51,17 @@ def test_kappa_bounded_by_total_paths():
 
 
 def test_welch_satterthwaite_validation():
-    with pytest.raises(ValueError):
-        welch_satterthwaite([1, 1], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2-d grid"):
+        welch_satterthwaite([1, 1], [1, 1])
+    with pytest.raises(ValueError, match="match beta shape"):
         welch_satterthwaite([[1, 1]], [[1, 1], [1, 1]])
-    with pytest.raises(ValueError):
-        welch_satterthwaite([[1, -1]], 2)
-    with pytest.raises(ValueError):
-        welch_satterthwaite([[0, 0]], 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="match beta shape"):
+        welch_satterthwaite([[1, 1]], 2)       # a scalar is no grid
+    with pytest.raises(ValueError, match="nonnegative"):
+        welch_satterthwaite([[1, -1]], [[2, 2]])
+    with pytest.raises(ValueError, match="positive entries"):
+        welch_satterthwaite([[0, 0]], [[2, 2]])
+    with pytest.raises(ValueError, match="positive integers"):
         welch_satterthwaite([[1, 1]], [[0, 1]])
 
 

@@ -446,3 +446,20 @@ def test_negative_seed_is_rejected_by_name(config_file, tmp_path, capsys):
         assert capsys.readouterr().err == "error: master_seed must be nonnegative\n"
     with pytest.raises(ValueError, match="master_seed must be nonnegative"):
         SystemConfig(master_seed=-1)
+
+
+@pytest.mark.parametrize("line,single,problem", [
+    ("n_paths = 2 2; 2 2", "n_paths = 2",
+     "n_paths must be scalar or shaped (2, 2), got shape (1, 1)"),
+    ("beta = 0.01 0.01; 0.01 0.01", "beta = 0.01",
+     "beta must have shape (2, 2), got shape (1, 1)"),
+])
+def test_one_entry_grid_names_the_shape_it_got(tmp_path, capsys, line, single, problem):
+    # a config file reads every grid key as rows, so one number is a 1x1 grid
+    path = tmp_path / "single.cfg"
+    path.write_text(BASE_CONFIG.replace(line, single))
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "10", "--snr-max", "10"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "x.csv").exists()

@@ -7,7 +7,7 @@ import pytest
 from bicmb_pc import detector
 from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
-from bicmb_pc.pstbc import _layout, build_params, encode_batch, group_decompose
+from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import SystemConfig
 
 
@@ -121,8 +121,7 @@ def random_symbols(rng, c, d):
 
 def test_group_columns_pattern():
     # columns group_decompose gathers layer v from, one row per layer
-    cols, _ = _layout(3, build_params(3).g)
-    assert cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+    assert build_params(3).cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -217,9 +216,9 @@ def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
     depths = []
     peeled = detector._peeled
 
-    def spy(q, r, peel, c):
+    def spy(q, r, peel, c, work):
         depths.append(peel)
-        return peeled(q, r, peel, c)
+        return peeled(q, r, peel, c, work)
 
     monkeypatch.setattr(detector, "_peeled", spy)
     rng = np.random.default_rng(300 + 10 * d + limit)
@@ -255,6 +254,35 @@ def test_shared_workspace_keeps_peeled_metrics_exact():
         for f in range(2):
             q, r = qr_reduce(lam[f][:, None] * params.generator)
             assert np.allclose(got[f], sphere_metrics(groups[f] @ q.conj(), r, c), atol=1e-10)
+
+
+def test_peeled_leaf_grids_reuse_the_callers_workspace(monkeypatch):
+    """Two D=4 16-QAM calls on one workspace run every leaf grid in it, and
+    the second call's leaves land in the buffers the first call left."""
+    leaves = []
+    grid = detector._lord_grid
+
+    def spy(qobs, r, c, work):
+        out = grid(qobs, r, c, work)
+        leaves.append((work, out))
+        return out
+
+    monkeypatch.setattr(detector, "_lord_grid", spy)
+    monkeypatch.setattr(detector, "_CHUNK_PAIRS", 4 * 16)     # 4 groups per leaf
+    rng = np.random.default_rng(720)
+    params, c = build_params(4), QamConstellation(16)
+    lam = np.stack([random_lam(rng, 4) for _ in range(2)])
+    groups = np.stack([noisy_groups(rng, params, c, row, 8, 0.3) for row in lam])
+    engine = MetricEngine(params, c, lam)
+    work = detector.Workspace()
+    first = engine.bit_metrics(groups, work).copy()
+    n_first = len(leaves)
+    assert n_first == 4                          # 2 frames x 2 chunks of groups
+    assert np.array_equal(engine.bit_metrics(groups, work), first)
+    assert len(leaves) == 2 * n_first
+    assert all(w is work for w, _ in leaves)
+    last = leaves[n_first - 1][1]
+    assert all(np.shares_memory(out, last) for _, out in leaves[n_first:])
 
 
 def test_standalone_results_are_not_overwritten():
@@ -305,9 +333,9 @@ def test_peeling_only_above_lord_grid_limit(monkeypatch):
     calls = []
     peeled = detector._peeled
 
-    def spy(q, r, peel, c):
+    def spy(q, r, peel, c, work):
         calls.append((q.shape, peel))
-        return peeled(q, r, peel, c)
+        return peeled(q, r, peel, c, work)
 
     monkeypatch.setattr(detector, "_peeled", spy)
     MetricEngine(build_params(6), QamConstellation(4),

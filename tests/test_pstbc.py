@@ -132,7 +132,7 @@ def test_layout_table_is_the_nonzero_pattern_of_shift_powers():
     # row u of E^v holds one nonzero entry, weights[v, u] at column cols[v, u]
     for d in ALL_DIMS:
         p = pstbc.build_params(d)
-        cols, weights = pstbc._layout(d, p.g)
+        cols, weights = p.cols, p.weights
         for v in range(d):
             power = np.linalg.matrix_power(p.shift, v)
             rows, nonzero_cols = np.nonzero(power)
@@ -146,7 +146,7 @@ def test_omega_matrix_identities():
     # diag(1, g, ..., g) for the last
     for d in ALL_DIMS:
         p = pstbc.build_params(d)
-        _, weights = pstbc._layout(d, p.g)
+        weights = p.weights
         assert np.array_equal(weights[0], np.ones(d))
         assert np.abs(weights[-1] - ([1.0] + [p.g] * (d - 1))).max() < 1e-15
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bicmb_pc import channel_model, sim_engine
-from bicmb_pc.detector import MetricEngine, qr_reduce
+from bicmb_pc.detector import MetricEngine
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import (
@@ -85,17 +85,6 @@ def test_config_hash_tracks_content():
     assert a == b
     assert a != c
     assert len(a) == 64
-
-
-def test_qr_reduce_stack_properties():
-    rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-    q, r = qr_reduce(m)
-    for i in range(4):
-        assert np.allclose(q[i] @ r[i], m[i], atol=1e-12)
-        diag = r[i].diagonal()
-        assert np.allclose(diag.imag, 0, atol=1e-13)
-        assert (diag.real >= 0).all()
 
 
 def test_batched_metrics_match_metric_engine():
