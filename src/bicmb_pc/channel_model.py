@@ -61,11 +61,15 @@ def array_response(n: int, angle, spacing: float = 0.5) -> np.ndarray:
 
 
 def _draw_block(rng: np.random.Generator, n_paths: int):
-    """Per-block path parameters, fixed draw order: AoA, AoD, gain."""
-    aoa = rng.uniform(0.0, 2.0 * np.pi, n_paths)
-    aod = rng.uniform(0.0, 2.0 * np.pi, n_paths)
-    alpha = (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths)) / np.sqrt(2.0)
-    return aoa, aod, alpha
+    """Per-block path parameters, fixed draw order: AoA, AoD, gain.
+
+    One uniform call gives the AoAs then the AoDs, and one normal call the
+    gains' real then imaginary parts: the same values, and the same stream
+    position after, as one call per quantity.
+    """
+    aoa, aod = rng.uniform(0.0, 2.0 * np.pi, 2 * n_paths).reshape(2, n_paths)
+    re, im = rng.standard_normal(2 * n_paths).reshape(2, n_paths)
+    return aoa, aod, (re + 1j * im) / np.sqrt(2.0)
 
 
 def _draw_frame(rng: np.random.Generator, counts: np.ndarray):

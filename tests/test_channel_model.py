@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from bicmb_pc import channel_model
 from bicmb_pc.channel_model import ArrayGeometry, array_response, draw_paths, path_core
-from oracles import assemble_channel, theta_samples
+from oracles import assemble_channel, draw_block_reference, theta_samples
 
 GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
 ONE_BLOCK = ArrayGeometry(n_t=16, n_r=8, l_t=1, l_r=1)
@@ -56,6 +57,18 @@ def test_block_mean_energy():
     norms = [np.linalg.norm(assemble_channel(rng, ONE_BLOCK, [[1.0]], 2)) ** 2
              for _ in range(2000)]
     assert np.mean(norms) / (ONE_BLOCK.n_t * ONE_BLOCK.n_r) == pytest.approx(1.0, rel=0.05)
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3, 6, 17])
+def test_block_draw_matches_one_call_per_quantity(n_paths):
+    """Two generator calls per block give the four-call draw's values and
+    leave the stream where it left it."""
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for got, want in zip(channel_model._draw_block(rng, n_paths),
+                             draw_block_reference(ref, n_paths)):
+            assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_assemble_respects_beta_zeros():

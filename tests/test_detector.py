@@ -9,6 +9,7 @@ from bicmb_pc.detector import MetricEngine, qr_reduce
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
 from bicmb_pc.sim_engine import SystemConfig
+from oracles import lord_grid_reference
 
 
 def umin(gamma):
@@ -216,9 +217,9 @@ def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
     depths = []
     peeled = detector._peeled
 
-    def spy(q, r, peel, c, work):
+    def spy(q, r, peel, c, work, out):
         depths.append(peel)
-        return peeled(q, r, peel, c, work)
+        peeled(q, r, peel, c, work, out)
 
     monkeypatch.setattr(detector, "_peeled", spy)
     rng = np.random.default_rng(300 + 10 * d + limit)
@@ -329,13 +330,59 @@ def test_lord_ragged_chunks_are_exact(monkeypatch, d, order):
         assert np.array_equal(engine.bit_metrics(groups), whole)
 
 
+@pytest.mark.parametrize("d,order", [(2, 16), (2, 4), (3, 16), (3, 4), (4, 4), (6, 4)])
+@pytest.mark.parametrize("pairs", [detector._CHUNK_PAIRS, 100, 512])
+def test_factored_grid_is_bit_identical(monkeypatch, d, order, pairs):
+    """Rows on their distinct candidates give the full-grid reference's metrics
+    bit for bit, in default and ragged chunks and with a zero singular value."""
+    monkeypatch.setattr(detector, "_CHUNK_PAIRS", pairs)
+    rng = np.random.default_rng(800 + 10 * d + order)
+    params = build_params(d)
+    c = QamConstellation(order)
+    lam = np.stack([random_lam(rng, d) for _ in range(3)])
+    lam[1, -1] = 0.0
+    groups = np.stack([noisy_groups(rng, params, c, row, 7, 0.5) for row in lam])
+    q, r = qr_reduce(lam[..., :, None] * params.generator)
+    qobs = groups @ q.conj()
+    work = detector.Workspace()
+    detector._lord_grid(qobs[::-1], r[::-1], c, work)      # leaves its buffers dirty
+    got = detector._lord_grid(qobs, r, c, work)
+    assert np.array_equal(got, lord_grid_reference(qobs, r, c, detector.Workspace()))
+
+
+@pytest.mark.parametrize("limit,leaf", [(16, 2), (4, 1)])
+def test_peeled_leaf_grids_are_bit_identical(monkeypatch, limit, leaf):
+    """D=3 16-QAM peeled to a two- or one-layer leaf: every leaf grid equals
+    the full-grid reference bit for bit, also on buffers earlier leaves used."""
+    monkeypatch.setattr(detector, "_GRID_MAX", limit)
+    layers = []
+    grid = detector._lord_grid
+
+    def spy(qobs, r, c, work):
+        out = grid(qobs, r, c, work)
+        assert np.array_equal(out, lord_grid_reference(qobs, r, c, detector.Workspace()))
+        layers.append(qobs.shape[-1])
+        return out
+
+    monkeypatch.setattr(detector, "_lord_grid", spy)
+    rng = np.random.default_rng(820 + limit)
+    params, c = build_params(3), QamConstellation(16)
+    lam = np.stack([random_lam(rng, 3), random_lam(rng, 3)])
+    lam[1, -1] = 0.0
+    groups = np.stack([noisy_groups(rng, params, c, row, 5, 0.5) for row in lam])
+    engine, work = MetricEngine(params, c, lam), detector.Workspace()
+    engine.bit_metrics(groups, work)
+    engine.bit_metrics(groups[::-1, ::-1], work)
+    assert layers and set(layers) == {leaf}
+
+
 def test_peeling_only_above_lord_grid_limit(monkeypatch):
     calls = []
     peeled = detector._peeled
 
-    def spy(q, r, peel, c, work):
+    def spy(q, r, peel, c, work, out):
         calls.append((q.shape, peel))
-        return peeled(q, r, peel, c, work)
+        peeled(q, r, peel, c, work, out)
 
     monkeypatch.setattr(detector, "_peeled", spy)
     MetricEngine(build_params(6), QamConstellation(4),
