@@ -224,9 +224,9 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation,
     freed and page-faulted in again by the next chunk, which at D = 3 cost
     a fifth of the frame in system time.  A chunk holds three full-grid
     buffers (row 1's real and imaginary parts, the tail) besides the level
-    distances, which also serve as scratch before and after they are used.  A chunk writes into
-    contiguous leading views of the workspace, so a short last chunk has
-    the layout of a fresh array and the same minima.
+    distances, which also serve as scratch before and after they are used.
+    A chunk writes into contiguous leading views of the workspace, so a
+    short last chunk has the layout of a fresh array and the same minima.
     """
     n_frames, n, d = qobs.shape
     k, bps = c.order, c.bits_per_symbol
@@ -299,7 +299,8 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation,
             for m in range(1, d):
                 best.min(axis=tuple(a for a in range(d - 1) if a != m - 1), out=per_label[m - 1])
             # every layer's label minima to (I level, Q level) in one gather
-            label = np.take(per_label, c.by_level, axis=1, out=work.take("dist_q", per_label.shape))
+            label = np.take(per_label, c.by_level, axis=1,
+                            out=work.take("dist_q", per_label.shape))
             label = label.reshape((d - 1, n_levels, n_levels) + pairs)
             label.min(axis=2, out=tables[1:, 0])
             label.min(axis=1, out=tables[1:, 1])
