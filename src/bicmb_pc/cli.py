@@ -6,12 +6,14 @@ Grids (beta, n_paths) use semicolon-separated rows, e.g.
     beta = 0.01 0.01; 0.01 0.01
     n_paths = 6 2; 3 1
 
-Exit codes: 0 success, 1 failed checks or bad inputs, 2 usage errors.
+Exit codes: 0 success, 1 failed checks, bad inputs or a sweep worker that
+died, 2 usage errors, 130 interrupted (Ctrl-C).
 """
 from __future__ import annotations
 
 import argparse
 import sys
+from concurrent.futures import BrokenExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -261,9 +263,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:   # any pool is shut down by then
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

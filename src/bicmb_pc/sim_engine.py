@@ -8,9 +8,10 @@ once the bit-error or frame budget is reached.
 
 Batches run on a runner: the in-process _FramePipeline, or a _PoolRunner
 whose pool workers each keep one _FramePipeline per config.  _open_runner
-is the one place that chooses.  run_ber_point submits rounds of `workers`
-batches and absorbs them in submission order; run_sweep opens one runner
-for its whole SNR grid.
+is the one place that chooses.  One scheduler, _run_points, serves
+run_ber_point (one point) and run_sweep (the grid, on one runner): it keeps
+one batch per worker unfinished, runs the batches known to be needed
+first, across points, and absorbs each point's batches in frame order.
 
 SVD beamforming reduces each channel H to the D strongest subchannels:
 W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
@@ -28,9 +29,9 @@ import contextlib
 import csv
 import functools
 import hashlib
-import itertools
 import json
-from concurrent.futures import ProcessPoolExecutor
+import signal
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -51,8 +52,8 @@ _BLOCK_BYTES = 1 << 30
 _BYTES_PER_CODED_BIT = 128
 _MAX_INFO_BITS = _BLOCK_BYTES // (_BLOCK_FRAMES * 2 * _BYTES_PER_CODED_BIT)
 _DEGENERATE_REL_TOL = 1e-12
-# A pool starts all its workers at once and a round submits one batch per
-# worker, so the count is capped; past the CPU count nothing is gained.
+# A pool starts all its workers at once and keeps one batch per worker in
+# flight, so the count is capped; past the CPU count nothing is gained.
 MAX_WORKERS = 64
 
 
@@ -191,6 +192,8 @@ class PointResult:
 class _FramePipeline:
     """Per-config precomputed state shared by every frame."""
 
+    workers = 1     # a runner: batches run one at a time, inside submit
+
     def __init__(self, config: SystemConfig):
         self.config = config
         self.params = build_params(config.dim)
@@ -201,10 +204,14 @@ class _FramePipeline:
         self.paths = np.asarray(config.n_paths)
         self.work = Workspace()     # the detector's buffers, reused by every block
 
-    def submit(self, *batch):
-        """Run the batch now; returns the getter of its (info_bits, errors)."""
-        result = self.run_batch(*batch)
-        return lambda: result
+    def submit(self, *batch) -> Future:
+        """Run the batch now; returns its completed future of (info_bits, errors)."""
+        future = Future()
+        try:
+            future.set_result(self.run_batch(*batch))
+        except Exception as exc:    # raised where the scheduler absorbs the batch
+            future.set_exception(exc)
+        return future
 
     def close(self):
         """Nothing to release: batches run in this process."""
@@ -286,14 +293,20 @@ def _worker_pipeline(config: SystemConfig) -> _FramePipeline:
     return _FramePipeline(config)
 
 
+def _ignore_sigint():
+    """Pool worker start-up: Ctrl-C is the parent's to handle, which shuts the pool down."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+
+
 class _PoolRunner:
     """Batches on a process pool; same submit/close interface as _FramePipeline."""
 
     def __init__(self, config: SystemConfig, workers: int):
-        self.config, self.pool = config, ProcessPoolExecutor(max_workers=workers)
+        self.config, self.workers = config, workers
+        self.pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
 
-    def submit(self, *batch):
-        return self.pool.submit(_batch_worker, self.config, *batch).result
+    def submit(self, *batch) -> Future:
+        return self.pool.submit(_batch_worker, self.config, *batch)
 
     def close(self):
         self.pool.shutdown(cancel_futures=True)
@@ -309,49 +322,88 @@ def _open_runner(config: SystemConfig, workers: int):
     return _FramePipeline(config) if workers == 1 else _PoolRunner(config, workers)
 
 
+def _run_points(runner, points, noiseless: bool = False):
+    """Yield the PointResult of each (snr_db, snr_index) point, in order.
+
+    While there is work, runner.workers batches are unfinished, dropped ones
+    still running included.  A point's next batch is needed when the point
+    is unfinished and none of its batches is in flight (so every first batch
+    is); the lowest such point is served first.  Only when no batch is
+    needed does the lowest unfinished point with a batch left under its cap
+    get a speculative one; batch k exists while k * batch_frames <
+    max_frames.  Each point absorbs its batches in frame order and checks
+    the stop rule on cumulative counts, so the results are those of a
+    serial run for any worker count or completion order; batches past a
+    stop are dropped.  A failed batch raises where it would be absorbed
+    once every earlier point has been yielded, the (point, frame) order in
+    which a serial run meets it.  Dropped batches are awaited at the end.
+    """
+    cfg = runner.config
+    size, bit_cap = cfg.batch_frames, cfg.max_frames * cfg.n_info
+    n = len(points)
+    sent = [0] * n                      # batches submitted per point
+    pending = [[] for _ in points]      # futures not yet absorbed, in frame order
+    bits, errors, done = [0] * n, [0] * n, [False] * n
+    running, first = set(), 0           # first: the lowest unfinished point
+
+    def pick():
+        unfinished = [i for i in range(first, n) if not done[i]]
+        needed = [i for i in unfinished if not pending[i]]
+        spare = [i for i in unfinished if sent[i] * size < cfg.max_frames]
+        return (needed or spare or [None])[0]
+
+    while first < n:
+        while len(running) < runner.workers and (i := pick()) is not None:
+            snr = float("inf") if noiseless else points[i][0]   # noise_variance(., inf) == 0
+            future = runner.submit(snr, points[i][1], sent[i] * size, size)
+            pending[i].append(future)
+            sent[i] += 1
+            running.add(future)
+        running = wait(running, return_when=FIRST_COMPLETED).not_done
+        for i in range(first, n):
+            while not done[i] and pending[i] and pending[i][0].done():
+                if i > first and pending[i][0].exception() is not None:
+                    break
+                nfo, err = pending[i].pop(0).result()
+                bits[i], errors[i] = bits[i] + nfo, errors[i] + err
+                done[i] = errors[i] >= cfg.target_bit_errors or bits[i] >= bit_cap
+            while first < n and done[first]:
+                yield PointResult(snr_db=points[first][0], frames=bits[first] // cfg.n_info,
+                                  info_bits=bits[first], bit_errors=errors[first])
+                first += 1
+    wait(running)
+
+
 def run_ber_point(config: SystemConfig, snr_db: float, snr_index: int = 0,
                   workers: int = 1, noiseless: bool = False,
                   pipeline: _FramePipeline | _PoolRunner | None = None) -> PointResult:
-    """Accumulate rounds of `workers` batches until the error or frame budget is met.
+    """Run batches of one point until the error or frame budget is met.
 
-    Batches are absorbed in submission order and the stop rule is evaluated
-    on cumulative counts, so the result is byte-identical for any worker
-    count; batches of a round that end past the stop are awaited and
-    dropped.  pipeline is a runner for this config from _open_runner (a
-    _FramePipeline or a _PoolRunner); without one, a runner is opened here
-    and closed before returning.
+    The stop rule is evaluated on cumulative counts in frame order, so the
+    result is byte-identical for any worker count (see _run_points).
+    pipeline is a runner for this config from _open_runner (a
+    _FramePipeline or a _PoolRunner), which sets how many batches run at
+    once; without one, a runner for `workers` is opened here and closed
+    before returning.
     """
     _check_workers(workers)
     runner = (contextlib.nullcontext(pipeline) if pipeline is not None
               else contextlib.closing(_open_runner(config, workers)))
-    snr = float("inf") if noiseless else snr_db     # noise_variance(., inf) == 0
-    starts = itertools.count(0, config.batch_frames)
-    done, info_bits, errors = False, 0, 0
     with runner as run:
         if run.config != config:
             raise ValueError("pipeline was built for a different config")
-        while not done:
-            results = [run.submit(snr, snr_index, next(starts), config.batch_frames)
-                       for _ in range(workers)]
-            for result in results:              # absorbed in submission order
-                nfo, err = result()
-                if not done:
-                    info_bits, errors = info_bits + nfo, errors + err
-                    done = (errors >= config.target_bit_errors
-                            or info_bits >= config.max_frames * config.n_info)
-    return PointResult(snr_db=snr_db, frames=info_bits // config.n_info,
-                       info_bits=info_bits, bit_errors=errors)
+        (result,) = _run_points(run, [(snr_db, snr_index)], noiseless)
+    return result
 
 
 def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointResult]:
-    """One runner (so at most one pool) serves every point of the grid."""
+    """Every point of the grid on one runner (so at most one pool), scheduled together."""
     grid = [float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float))]
     if not grid:
         raise ValueError("empty SNR grid")
     _check_workers(workers)
     with contextlib.closing(_open_runner(config, workers)) as runner:
-        return [run_ber_point(config, s, i, workers, pipeline=runner)
-                for i, s in enumerate(grid)]
+        return list(_run_points(runner, [(s, i) for i, s in enumerate(grid)]))
 
 
 _CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")

@@ -1,5 +1,6 @@
 import dataclasses
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -294,6 +295,58 @@ def test_rank_starved_pooled_sweep_is_a_one_line_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "channel rank starved" in err
     assert not (tmp_path / "x.csv").exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched pipeline")
+def test_dead_pool_worker_is_a_one_line_error(config_file, tmp_path, capsys, monkeypatch):
+    run_batch = sim_engine._FramePipeline.run_batch
+
+    def dies_at_second_point(self, snr_db, snr_index, *batch):
+        if snr_index == 1:
+            os._exit(9)
+        return run_batch(self, snr_db, snr_index, *batch)
+
+    monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", dies_at_second_point)
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--config", str(config_file), "--out", str(out),
+               "--snr-min", "4", "--snr-max", "8", "--workers", "2"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "terminated abruptly" in err
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_ctrl_c_during_sweep_is_one_line(config_file, tmp_path, capsys, monkeypatch, workers):
+    if workers == "1":      # Ctrl-C while the second point runs in this process
+        run_batch = sim_engine._FramePipeline.run_batch
+
+        def interrupted(self, snr_db, snr_index, *batch):
+            if snr_index == 1:
+                raise KeyboardInterrupt
+            return run_batch(self, snr_db, snr_index, *batch)
+
+        monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", interrupted)
+    else:                   # Ctrl-C while waiting on the pool, batches in flight
+        wait, calls = sim_engine.wait, []
+
+        def interrupted(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return wait(*args, **kwargs)
+
+        monkeypatch.setattr(sim_engine, "wait", interrupted)
+    out = tmp_path / "x.csv"
+    rc = main(["sweep", "--config", str(config_file), "--out", str(out),
+               "--snr-min", "4", "--snr-max", "8", "--workers", workers])
+    assert rc == 130
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
     assert not multiprocessing.active_children()
 
 

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
 import multiprocessing
+import signal
 import tracemalloc
+from concurrent.futures import FIRST_COMPLETED, Future
 
 import numpy as np
 import pytest
@@ -172,15 +174,182 @@ def test_runs_are_deterministic():
     assert (a.bit_errors, a.frames) != (c.bit_errors, c.frames) or a.bit_errors != c.bit_errors
 
 
-def test_worker_count_does_not_change_results():
-    # SMALL stops after at most two 8-frame batches, so a round of three
-    # always computes a batch past the stop that must be dropped
+def test_worker_count_does_not_change_results(monkeypatch):
+    # SMALL has two 8-frame batches under its cap, so three workers run at
+    # most two batches of it and nothing is dropped unless the budget stops it
     counts = set()
     for workers in (1, 2, 3):
         res = run_ber_point(SMALL, snr_db=6.0, snr_index=0, workers=workers)
         counts.add((res.frames, res.info_bits, res.bit_errors))
     assert len(counts) == 1
+    # the budget is met in the first batch: the speculative batches that run
+    # beside it (two, or more when they finish before it) are dropped
+    submitted = []
+
+    class SpyPool(sim_engine.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[-2])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", SpyPool)
+    eager = SystemConfig(nominal_info_bits=128, batch_frames=4, max_frames=400,
+                         target_bit_errors=5)
+    serial = run_ber_point(eager, snr_db=-20.0)
+    assert run_ber_point(eager, snr_db=-20.0, workers=3) == serial
+    assert serial.frames == 4
+    assert len(submitted) >= 3
+    assert sorted(submitted) == list(range(0, 4 * len(submitted), 4))
     assert not multiprocessing.active_children()
+
+
+def fake_batch(cfg, snr_index, frame_start, n_frames, failing=()):
+    """A fixed (info_bits, errors) per (snr_index, frame_start); raises for `failing` ones."""
+    if (snr_index, frame_start) in failing:
+        raise ValueError(f"batch ({snr_index}, {frame_start}) failed")
+    errors = int(np.random.default_rng([snr_index, frame_start]).integers(0, 9))
+    return n_frames * cfg.n_info, errors
+
+
+def serial_points(cfg, points, failing=()):
+    """The stop rule run one batch at a time, in (point, frame) order."""
+    results = []
+    for snr_db, index in points:
+        bits = errors = start = 0
+        while errors < cfg.target_bit_errors and bits < cfg.max_frames * cfg.n_info:
+            nfo, err = fake_batch(cfg, index, start, cfg.batch_frames, failing)
+            bits, errors, start = bits + nfo, errors + err, start + cfg.batch_frames
+        results.append(PointResult(snr_db, bits // cfg.n_info, bits, errors))
+    return results
+
+
+class FakeRunner:
+    """A runner whose batches complete only when the patched wait completes them.
+
+    check(runner, snr_index, frame_start) runs before each submit.
+    """
+
+    def __init__(self, config, workers, check=None, failing=()):
+        self.config, self.workers = config, workers
+        self.check, self.failing = check, failing
+        self.futures = []       # (snr_index, frame_start, future), in submission order
+
+    def submit(self, snr_db, snr_index, frame_start, n_frames):
+        if self.check is not None:
+            self.check(self, snr_index, frame_start)
+        future = Future()
+        future.batch, future.seq = (snr_index, frame_start, n_frames), len(self.futures)
+        self.futures.append((snr_index, frame_start, future))
+        return future
+
+    def complete(self, future):
+        try:
+            future.set_result(fake_batch(self.config, *future.batch, self.failing))
+        except ValueError as exc:
+            future.set_exception(exc)
+
+
+def completing_wait(runner, choose):
+    """Stand-in for concurrent.futures.wait: completes choose(pending) itself.
+
+    pending is the unfinished futures in submission order; waiting for all
+    of them completes them all.
+    """
+    done_and_not_done = collections.namedtuple("DoneAndNotDone", "done not_done")
+
+    def wait(fs, timeout=None, return_when="ALL_COMPLETED"):
+        pending = sorted((f for f in fs if not f.done()), key=lambda f: f.seq)
+        if pending:
+            for f in choose(pending) if return_when == FIRST_COMPLETED else pending:
+                runner.complete(f)
+        return done_and_not_done({f for f in fs if f.done()},
+                                 {f for f in fs if not f.done()})
+    return wait
+
+
+def run_fake(monkeypatch, runner, points, choose):
+    monkeypatch.setattr(sim_engine, "wait", completing_wait(runner, choose))
+    return list(sim_engine._run_points(runner, points))
+
+
+def reverse_order(pending):
+    return pending[-1:]
+
+
+def shuffled_order(seed):
+    rng = np.random.default_rng(seed)
+    return lambda pending: rng.permutation(pending)[:rng.integers(1, len(pending) + 1)]
+
+
+# (batch_frames, max_frames, target_bit_errors): points that stop on the
+# error budget, points that stop on the cap, and a cap that is not a
+# multiple of the batch size, where the last batch runs past it
+SCHEDULES = [(4, 400, 12), (4, 12, 10 ** 6), (4, 10, 9)]
+GRID = [(float(s), i) for i, s in enumerate(range(0, 12, 2))]
+
+
+@pytest.mark.parametrize("batch_frames,max_frames,target", SCHEDULES)
+def test_scheduler_matches_serial_for_any_completion_order(monkeypatch, batch_frames,
+                                                           max_frames, target):
+    cfg = dataclasses.replace(SMALL, batch_frames=batch_frames, max_frames=max_frames,
+                              target_bit_errors=target)
+    expected = serial_points(cfg, GRID)
+    if target < 10 ** 6:
+        assert any(r.bit_errors >= target for r in expected)
+    if max_frames < 400:
+        capped = -(-max_frames // batch_frames) * batch_frames
+        assert any(r.frames == capped for r in expected)
+    for workers in (1, 2, 3, 5):
+        for choose in (reverse_order, shuffled_order(1), shuffled_order(2)):
+            runner = FakeRunner(cfg, workers)
+            assert run_fake(monkeypatch, runner, GRID, choose) == expected
+            assert all(f.done() for _, _, f in runner.futures)
+
+
+def test_scheduler_raises_in_serial_order(monkeypatch):
+    # point 1 fails on its second batch and point 3 on its first; the
+    # reverse order completes point 3's failure first
+    cfg = dataclasses.replace(SMALL, batch_frames=4, max_frames=12,
+                              target_bit_errors=10 ** 6)
+    failing = {(1, 4), (3, 0)}
+    with pytest.raises(ValueError, match=r"batch \(1, 4\) failed"):
+        serial_points(cfg, GRID, failing)
+    for workers in (1, 2, 4):
+        runner = FakeRunner(cfg, workers, failing=failing)
+        points = sim_engine._run_points(runner, GRID)
+        monkeypatch.setattr(sim_engine, "wait", completing_wait(runner, reverse_order))
+        assert next(points) == serial_points(cfg, GRID[:1])[0]
+        with pytest.raises(ValueError, match=r"batch \(1, 4\) failed"):
+            next(points)
+
+
+@pytest.mark.parametrize("batch_frames,max_frames,target", SCHEDULES)
+def test_scheduler_serves_needed_batches_first(monkeypatch, batch_frames, max_frames, target):
+    """At most `workers` unfinished, nothing past a cap, no speculation while a batch is needed."""
+    cfg = dataclasses.replace(SMALL, batch_frames=batch_frames, max_frames=max_frames,
+                              target_bit_errors=target)
+    final = {index: r.frames for (_, index), r in zip(GRID, serial_points(cfg, GRID))}
+    speculative = []
+
+    def check(runner, snr_index, frame_start):
+        in_flight = {i for i, _, f in runner.futures if not f.done()}
+        completed = {(i, start) for i, start, f in runner.futures if f.done()}
+        finished = {i for i in final
+                    if all((i, start) in completed for start in range(0, final[i], batch_frames))}
+        needed = [i for _, i in GRID if i not in finished and i not in in_flight]
+        assert sum(not f.done() for _, _, f in runner.futures) < runner.workers
+        assert frame_start < max_frames
+        assert snr_index not in finished
+        assert frame_start == batch_frames * sum(i == snr_index for i, _, _ in runner.futures)
+        if needed:
+            assert snr_index == needed[0]
+        else:
+            speculative.append((snr_index, frame_start))
+
+    for workers in (2, 3, 5):
+        for choose in (reverse_order, shuffled_order(workers)):
+            runner = FakeRunner(cfg, workers, check)
+            run_fake(monkeypatch, runner, GRID, choose)
+    assert speculative
 
 
 def test_sweep_opens_one_pool(monkeypatch):
@@ -197,6 +366,17 @@ def test_sweep_opens_one_pool(monkeypatch):
     serial = run_sweep(SMALL, [4.0, 6.0, 8.0])
     assert len(opened) == 1
     assert pooled == serial
+
+
+def test_pool_workers_leave_ctrl_c_to_the_parent():
+    # a terminal's Ctrl-C reaches the whole process group: workers ignore
+    # it and run on until the parent shuts the pool down, printing nothing
+    runner = sim_engine._open_runner(SMALL, 2)
+    try:
+        assert runner.pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+    finally:
+        runner.close()
+    assert not multiprocessing.active_children()
 
 
 def test_worker_counts_above_the_cap_start_no_pool(monkeypatch):
