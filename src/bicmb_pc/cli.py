@@ -26,6 +26,7 @@ from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
 from .sim_engine import (
     MAX_WORKERS,
     SystemConfig,
+    _check_workers,
     config_hash,
     read_csv,
     read_lines,
@@ -36,6 +37,9 @@ from .sim_engine import (
 
 # each key's kind is its default's: int, float, or a grid of the default's entries
 _DEFAULTS = SystemConfig().to_dict()
+# SNR points per sweep: the grid is built whole, and each point keeps its
+# own counters, before the first batch runs
+MAX_SNR_POINTS = 1000
 
 
 def _convert(text: str, kind: type):
@@ -91,9 +95,14 @@ def load_config(path: str, seed_override: int | None = None) -> SystemConfig:
 
 
 def _worker_count(text: str) -> int:
-    if not 1 <= int(text) <= MAX_WORKERS:
-        raise argparse.ArgumentTypeError(f"must be from 1 to {MAX_WORKERS}, got {text}")
-    return int(text)
+    """--workers as sim_engine's worker-count rule admits it; anything else is a usage error."""
+    try:
+        workers = int(text)
+        _check_workers(workers)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer from 1 to {MAX_WORKERS}, got '{text}'") from None
+    return workers
 
 
 def _snr_grid(args) -> np.ndarray:
@@ -108,6 +117,8 @@ def _snr_grid(args) -> np.ndarray:
     if not np.isfinite(steps):
         raise ValueError("--snr-step is too small for the SNR range")
     n = int(round(steps)) + 1
+    if n > MAX_SNR_POINTS:
+        raise ValueError(f"the SNR grid has {n} points; at most {MAX_SNR_POINTS} are allowed")
     grid = args.snr_min + args.snr_step * np.arange(n)
     return grid[grid <= args.snr_max + 1e-9]
 
@@ -170,12 +181,15 @@ def _selftest_checks():
             failures.append(name)
 
     rng = np.random.default_rng(0)
-    params_by_dim = {d: build_params(d) for d in SUPPORTED_DIMS}
+    params_by_dim = {}
+    for d in SUPPORTED_DIMS:
+        try:    # build_params asserts the generator, shift and layout identities
+            params_by_dim[d] = build_params(d)
+        except AssertionError as exc:
+            check(f"code parameters (d={d}): {exc}", False)
+        else:
+            check(f"code parameters (d={d})", True)
     for d, params in params_by_dim.items():
-        gg = params.generator @ params.generator.conj().T
-        check(f"generator unitary (d={d})", np.abs(gg - np.eye(d)).max() < 1e-12)
-        ed = np.linalg.matrix_power(params.shift, d)
-        check(f"shift identity (d={d})", np.abs(ed - params.g * np.eye(d)).max() < 1e-12)
         x = rng.standard_normal((20, d, d)) + 1j * rng.standard_normal((20, d, d))
         z = encode_batch(params, x)
         worst = np.abs(np.linalg.norm(z, axis=(1, 2))
@@ -199,13 +213,15 @@ def _selftest_checks():
     check("constellation unit energy",
           abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12)
 
+    if 2 not in params_by_dim:      # the link checks below run the D=2 code
+        return failures
     params = params_by_dim[2]
     lam = np.array([2.0, 1.0])
     labels = rng.integers(0, 16, (2, 2))
     x = c.points[labels]
     z = encode_batch(params, x)
     groups = group_decompose(lam[:, None] * z, params)
-    gamma = MetricEngine(params, c, lam).bit_metrics(groups)
+    gamma = MetricEngine(params, c).bit_metrics(lam[None], groups[None])[0]
     hit = all(gamma[v, m, j, c.label_bits[labels[v, m], j]] < 1e-12
               for v in range(2) for m in range(2) for j in range(4))
     umin = gamma[:, 0, 0, :].min(axis=-1)

@@ -20,6 +20,10 @@ Where the grid has more than 1024 candidates (d = 4 and d = 6 with
 achievable cost of their group are kept (the clipping radius of Studer &
 Bolcskei, JSAC 2008), so the same grid code finishes each surviving prefix
 and the minima stay exact.
+
+A MetricEngine is built once per code and constellation and owns the
+workspace its chunks and output live in; each bit_metrics call takes a
+batch's singular values, so its QR runs there too.
 """
 from __future__ import annotations
 
@@ -71,71 +75,50 @@ class Workspace:
 
 
 class MetricEngine:
-    """Exact per-group bit metrics for diag(lam) G models.
+    """Exact per-group bit metrics for diag(lam) G models, on buffers it owns.
 
-    lam is (d,) for one frame or (frames, d) for a batch; bit_metrics then
-    takes groups shaped (n, d) or (frames, n, d) to match.  Every (d, K)
-    goes through the one exact lord_metrics.
+    One engine serves every batch of its code and constellation; its
+    workspace holds the chunks' buffers and the output metrics, so the
+    pages are reused from batch to batch.  While the grid K^(d-1-peel) has
+    more than _GRID_MAX candidates one more top layer is peeled; the peeled
+    path runs frame by frame on chunks of groups, each leaf grid on the
+    grid's buffers, which the "peeled" store does not share.
     """
 
-    def __init__(self, params: PerfectCodeParams, constellation: QamConstellation,
-                 lam: np.ndarray):
-        lam = np.asarray(lam, dtype=float)
-        d = params.dim
-        if lam.ndim not in (1, 2) or lam.shape[-1] != d:
-            raise ValueError(f"lam must have shape ({d},) or (frames, {d})")
-        if (lam < 0).any():
-            raise ValueError("singular values must be nonnegative")
+    def __init__(self, params: PerfectCodeParams, constellation: QamConstellation):
         self.params = params
         self.constellation = constellation
-        self.lam = lam
-        self.dim = d
-        q, r = qr_reduce(lam[..., :, None] * params.generator)
-        self._q_conj = q.conj()
-        self._r = r
+        self._work = Workspace()
 
-    def bit_metrics(self, groups: np.ndarray, work: Workspace | None = None) -> np.ndarray:
-        """groups: (n, d) or (frames, n, d) weight-corrected observations.
+    def bit_metrics(self, lam: np.ndarray, groups: np.ndarray) -> np.ndarray:
+        """lam (frames, d) singular values, groups (frames, n, d) weight-corrected observations.
 
-        Returns gamma[..., g, m, j, b], the min residual for group g with
-        bit j of symbol m equal to b.  gamma lives in work, so the next call
-        on the same workspace overwrites it; without one, a fresh workspace
-        is used and the caller owns the result.
+        Returns gamma[f, g, m, j, b], the min residual for group g of frame f
+        with bit j of symbol m equal to b.  gamma lives in the engine's
+        workspace, so this engine's next call overwrites it.
         """
-        work = Workspace() if work is None else work
-        g = np.asarray(groups)
-        frames = self.lam.shape[:-1]
-        if g.ndim != len(frames) + 2 or g.shape[:len(frames)] != frames \
-                or g.shape[-1] != self.dim:
-            raise ValueError(f"groups must be {frames + ('n', self.dim)}")
-        r = self._r.reshape(-1, self.dim, self.dim)
-        qobs = (g @ self._q_conj).reshape((len(r),) + g.shape[-2:])    # Q^H y per group
-        gamma = lord_metrics(qobs, r, self.constellation, work)
-        return gamma.reshape(g.shape[:-1] + gamma.shape[-3:])
-
-
-def lord_metrics(qobs: np.ndarray, r: np.ndarray, constellation: QamConstellation,
-                 work: Workspace) -> np.ndarray:
-    """Exact subset minima: qobs (frames, n, d), r (frames, d, d) -> gamma in work.
-
-    While the grid K^(d-1-peel) has more than _GRID_MAX candidates one more
-    top layer is peeled; the peeled path runs frame by frame on chunks of
-    groups, each leaf grid on work's grid buffers, which the "peeled" store
-    does not share.
-    """
-    c = constellation
-    n_frames, n, d = qobs.shape
-    peel = 0
-    while c.order ** (d - 1 - peel) > _GRID_MAX:
-        peel += 1
-    if not peel:
-        return _lord_grid(qobs, r, c, work)
-    gamma = work.take("peeled", (n_frames, n, d, c.bits_per_symbol, 2))
-    step = max(1, _CHUNK_PAIRS // c.order ** peel)
-    for f in range(n_frames):
-        for g0 in range(0, n, step):
-            _peeled(qobs[f, g0:g0 + step], r[f], peel, c, work, gamma[f, g0:g0 + step])
-    return gamma
+        lam, g = np.asarray(lam, dtype=float), np.asarray(groups)
+        c, d, work = self.constellation, self.params.dim, self._work
+        if lam.ndim != 2 or lam.shape[1] != d:
+            raise ValueError(f"lam must have shape (frames, {d})")
+        if (lam < 0).any():
+            raise ValueError("singular values must be nonnegative")
+        if g.ndim != 3 or g.shape[0] != len(lam) or g.shape[2] != d:
+            raise ValueError(f"groups must be ({len(lam)}, n, {d})")
+        q, r = qr_reduce(lam[:, :, None] * self.params.generator)
+        qobs = g @ q.conj()                                 # Q^H y per group
+        peel = 0
+        while c.order ** (d - 1 - peel) > _GRID_MAX:
+            peel += 1
+        if not peel:
+            return _lord_grid(qobs, r, c, work)
+        n_frames, n = g.shape[:2]
+        gamma = work.take("peeled", (n_frames, n, d, c.bits_per_symbol, 2))
+        step = max(1, _CHUNK_PAIRS // c.order ** peel)
+        for f in range(n_frames):
+            for g0 in range(0, n, step):
+                _peeled(qobs[f, g0:g0 + step], r[f], peel, c, work, gamma[f, g0:g0 + step])
+        return gamma
 
 
 def _achievable_bound(q: np.ndarray, r: np.ndarray, c: QamConstellation) -> np.ndarray:
@@ -209,8 +192,8 @@ def _lord_grid(qobs: np.ndarray, r: np.ndarray, c: QamConstellation,
 
     Chunk arrays are (candidate, frame, group), with the chunk's (frame,
     group) pairs last and contiguous, so every reduction adds or compares
-    whole slabs; lord_metrics keeps the grid at most _GRID_MAX candidates,
-    so the slabs stay long.
+    whole slabs; MetricEngine.bit_metrics keeps the grid at most _GRID_MAX
+    candidates, so the slabs stay long.
 
     Row m of the residual depends on x_m..x_d only.  The grid varies x_d
     fastest, so row m >= 3 takes K^(d-m+1) distinct values, those of the

@@ -7,11 +7,13 @@ for any worker count or batch schedule.  Points stop at a batch boundary
 once the bit-error or frame budget is reached.
 
 Batches run on a runner: the in-process _FramePipeline, or a _PoolRunner
-whose pool workers each keep one _FramePipeline per config.  _open_runner
-is the one place that chooses.  One scheduler, _run_points, serves
-run_ber_point (one point) and run_sweep (the grid, on one runner): it keeps
-one batch per worker unfinished, runs the batches known to be needed
-first, across points, and absorbs each point's batches in frame order.
+whose pool workers each keep one _FramePipeline per config.  run_ber_point
+runs one point in process; run_sweep is the one place that picks in-process
+or pooled batches for its grid.  One scheduler, _run_points, serves both:
+it keeps one batch per worker unfinished, runs the batches known to be
+needed first, across points, and absorbs each point's batches in frame
+order.  A pipeline builds its detector once, and the detector keeps its
+buffers across every block the pipeline runs.
 
 SVD beamforming reduces each channel H to the D strongest subchannels:
 W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
@@ -37,7 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .channel_model import ArrayGeometry, _check_beta, _check_paths, draw_paths, path_core
-from .detector import MetricEngine, Workspace
+from .detector import MetricEngine
 from .fec import (N_TAIL, QamConstellation, bits_per_symbol, conv_encode, interleaver,
                   viterbi_decode_batch)
 from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
@@ -202,7 +204,7 @@ class _FramePipeline:
         self.perm, self.deint_rows = interleaver(config.n_coded, config.master_seed)
         self.beta = np.asarray(config.beta, dtype=float)
         self.paths = np.asarray(config.n_paths)
-        self.work = Workspace()     # the detector's buffers, reused by every block
+        self.detector = MetricEngine(self.params, self.constellation)
 
     def submit(self, *batch) -> Future:
         """Run the batch now; returns its completed future of (info_bits, errors)."""
@@ -212,9 +214,6 @@ class _FramePipeline:
         except Exception as exc:    # raised where the scheduler absorbs the batch
             future.set_exception(exc)
         return future
-
-    def close(self):
-        """Nothing to release: batches run in this process."""
 
     def run_batch(self, snr_db: float, snr_index: int, frame_start: int, n_frames: int):
         """Simulate frames [frame_start, frame_start + n_frames).
@@ -233,7 +232,7 @@ class _FramePipeline:
         """Bit errors of frames [frame_start, frame_start + n_frames) at noise n0.
 
         Each stage's arrays are dropped once the next stage has them, and the
-        detector reuses the pipeline's workspace, so a block's working set
+        pipeline's detector reuses its own buffers, so a block's working set
         stays small and is not paged in afresh for every block.  Mapping
         draws no random numbers, so symbols are mapped after the channel draw
         without moving any frame's stream.
@@ -254,10 +253,9 @@ class _FramePipeline:
         groups = group_decompose(y, self.params).reshape(n_frames, n_codewords * d, d)
         del y
 
-        engine = MetricEngine(self.params, self.constellation, lam)
         # gamma rows (group, position, bit slot) run in interleaved coded-bit
         # order; the decoder reads coded bit k from row deint_rows[k] in place
-        gamma = engine.bit_metrics(groups, self.work).reshape(n_frames, -1, 2)
+        gamma = self.detector.bit_metrics(lam, groups).reshape(n_frames, -1, 2)
         del groups
         decoded = viterbi_decode_batch(gamma, self.deint_rows)
         return int((decoded != info).sum())
@@ -309,17 +307,23 @@ class _PoolRunner:
         return self.pool.submit(_batch_worker, self.config, *batch)
 
     def close(self):
-        self.pool.shutdown(cancel_futures=True)
+        """Cancel pending batches and stop the workers without waiting for running ones.
+
+        Workers ignore SIGINT, so after Ctrl-C a waiting shutdown would run
+        every started batch to its end.  Python has no public way to stop a
+        pool's workers before 3.14, so they are taken from pool._processes.
+        """
+        workers = list((self.pool._processes or {}).values())
+        self.pool.shutdown(wait=False, cancel_futures=True)
+        for process in workers:
+            process.terminate()
+        for process in workers:
+            process.join()
 
 
 def _check_workers(workers: int) -> None:
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must be from 1 to {MAX_WORKERS}, got {workers}")
-
-
-def _open_runner(config: SystemConfig, workers: int):
-    """The one place that picks in-process or pooled batches."""
-    return _FramePipeline(config) if workers == 1 else _PoolRunner(config, workers)
 
 
 def _run_points(runner, points, noiseless: bool = False):
@@ -375,35 +379,34 @@ def _run_points(runner, points, noiseless: bool = False):
 
 
 def run_ber_point(config: SystemConfig, snr_db: float, snr_index: int = 0,
-                  workers: int = 1, noiseless: bool = False,
-                  pipeline: _FramePipeline | _PoolRunner | None = None) -> PointResult:
-    """Run batches of one point until the error or frame budget is met.
+                  noiseless: bool = False, pipeline: _FramePipeline | None = None) -> PointResult:
+    """Run batches of one point in this process until the error or frame budget is met.
 
-    The stop rule is evaluated on cumulative counts in frame order, so the
-    result is byte-identical for any worker count (see _run_points).
-    pipeline is a runner for this config from _open_runner (a
-    _FramePipeline or a _PoolRunner), which sets how many batches run at
-    once; without one, a runner for `workers` is opened here and closed
-    before returning.
+    pipeline is a _FramePipeline built for this config, so repeated calls
+    reuse its tables and detector buffers; without one, one is built here.
     """
-    _check_workers(workers)
-    runner = (contextlib.nullcontext(pipeline) if pipeline is not None
-              else contextlib.closing(_open_runner(config, workers)))
-    with runner as run:
-        if run.config != config:
-            raise ValueError("pipeline was built for a different config")
-        (result,) = _run_points(run, [(snr_db, snr_index)], noiseless)
+    pipeline = _FramePipeline(config) if pipeline is None else pipeline
+    if pipeline.config != config:
+        raise ValueError("pipeline was built for a different config")
+    (result,) = _run_points(pipeline, [(snr_db, snr_index)], noiseless)
     return result
 
 
 def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointResult]:
-    """Every point of the grid on one runner (so at most one pool), scheduled together."""
+    """Every point of the grid, scheduled together, in process or on one pool.
+
+    The stop rule is evaluated on cumulative counts in frame order, so the
+    results are byte-identical for any worker count (see _run_points).
+    """
     grid = [float(s) for s in np.atleast_1d(np.asarray(snr_grid, dtype=float))]
     if not grid:
         raise ValueError("empty SNR grid")
     _check_workers(workers)
-    with contextlib.closing(_open_runner(config, workers)) as runner:
-        return list(_run_points(runner, [(s, i) for i, s in enumerate(grid)]))
+    points = [(s, i) for i, s in enumerate(grid)]
+    if workers == 1:
+        return list(_run_points(_FramePipeline(config), points))
+    with contextlib.closing(_PoolRunner(config, workers)) as pool:
+        return list(_run_points(pool, points))
 
 
 _CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")

@@ -27,7 +27,8 @@ from bicmb_pc.sim_engine import (
 from oracles import assemble_channel, snr_at_ber, theta_samples
 
 # Shared Monte Carlo budget for the slow sweep checks.  The stop rule and
-# the per-frame seeding make every curve below reproducible bit for bit.
+# the per-frame seeding make every curve below reproducible bit for bit, for
+# any worker count, so the sweeps run on two workers to save wall time.
 SWEEP_BUDGET = dict(target_bit_errors=150, max_frames=12000)
 BASE_GRID = [22.0, 23.0, 24.0, 25.0, 26.0, 27.0]
 SLOPE_WINDOW = (1e-5, 3e-2)
@@ -44,7 +45,7 @@ def window_slope(results, window=SLOPE_WINDOW):
 @pytest.fixture(scope="module")
 def base_sweep():
     """Uniform-profile curve reused by the three sweep criteria."""
-    return run_sweep(SystemConfig(**SWEEP_BUDGET), BASE_GRID)
+    return run_sweep(SystemConfig(**SWEEP_BUDGET), BASE_GRID, workers=2)
 
 
 def test_criterion_01_diversity_order_exact():
@@ -86,6 +87,7 @@ def test_criterion_02_code_identities():
 def test_criterion_03_detector_oracle_equivalence():
     params = build_params(2)
     const = QamConstellation(16)
+    engine = MetricEngine(params, const)
     d, k, bps = 2, 16, 4
     labels = np.indices((k,) * d ** 2).reshape(d ** 2, -1).T   # (65536, 4)
     x_all = const.points[labels].reshape(-1, d, d)
@@ -104,8 +106,7 @@ def test_criterion_03_detector_oracle_equivalence():
         y = lam[:, None] * z_true + np.sqrt(n0 / 2.0) * noise
 
         dists = (np.abs(y[None] - lam[None, :, None] * z_all) ** 2).sum(axis=(1, 2))
-        engine = MetricEngine(params, const, lam)
-        gamma = engine.bit_metrics(group_decompose(y, params))
+        gamma = engine.bit_metrics(lam[None], group_decompose(y, params)[None])[0]
         umin = gamma[:, 0, 0, :].min(axis=-1)
         other = umin.sum() - umin
         for v in range(d):
@@ -157,7 +158,7 @@ def test_criterion_06_gamma_shape_statistics():
 @pytest.mark.slow
 def test_criterion_07_slope_across_path_profiles(base_sweep):
     uneven = run_sweep(SystemConfig(n_paths=((6, 2), (3, 1)), **SWEEP_BUDGET),
-                       BASE_GRID)
+                       BASE_GRID, workers=2)
     s_uniform = window_slope(base_sweep)
     s_uneven = window_slope(uneven)
     rel = abs(s_uniform - s_uneven) / max(s_uniform, s_uneven)
@@ -169,7 +170,7 @@ def test_criterion_07_slope_across_path_profiles(base_sweep):
 @pytest.mark.slow
 def test_criterion_08_resource_doubling_shift(base_sweep):
     doubled = run_sweep(SystemConfig(n_t=32, n_r=16, **SWEEP_BUDGET),
-                        [19.0, 20.0, 21.0, 22.0, 23.0, 24.0])
+                        [19.0, 20.0, 21.0, 22.0, 23.0, 24.0], workers=2)
     snr_base = snr_at_ber([r.snr_db for r in base_sweep],
                           [r.ber for r in base_sweep], 1e-3)
     snr_dbl = snr_at_ber([r.snr_db for r in doubled],
@@ -193,7 +194,8 @@ def test_criterion_09_beta_invariant_slope(base_sweep):
              -25.0: [27.0, 28.0, 29.0, 30.0, 31.0, 32.0]}
     for level_db, grid in grids.items():
         b = 10.0 ** (level_db / 10.0)
-        res = run_sweep(SystemConfig(beta=((b, b), (b, b)), **SWEEP_BUDGET), grid)
+        res = run_sweep(SystemConfig(beta=((b, b), (b, b)), **SWEEP_BUDGET), grid,
+                        workers=2)
         slopes[level_db] = window_slope(res)
     worst = max(abs(s - s_mid) / s_mid for s in slopes.values())
     assert worst <= 0.20

@@ -1,11 +1,14 @@
 import dataclasses
 import multiprocessing
 import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from bicmb_pc import cli, sim_engine
+from bicmb_pc import cli, pstbc, sim_engine
 from bicmb_pc.analysis import pep_bound, zeta_min
 from bicmb_pc.cli import load_config, main
 from bicmb_pc.fec import QamConstellation
@@ -128,6 +131,21 @@ def test_sweep_rejects_non_finite_snr_flags(config_file, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+def test_sweep_rejects_an_oversized_snr_grid(config_file, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("an SNR grid was built or swept")
+
+    monkeypatch.setattr(cli.np, "arange", no_work)
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    for snr_max, step, points in (("1000", "1", 1001), ("100", "1e-7", 1_000_000_001)):
+        rc = main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+                   "--snr-min", "0", "--snr-max", snr_max, "--snr-step", step])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: the SNR grid has {points} points; at most 1000 are allowed\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("snr", ["4000", "-4000"])
 def test_sweep_rejects_out_of_range_snr(config_file, tmp_path, capsys, snr):
     rc = main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
@@ -236,8 +254,24 @@ def test_selftest_corruption_hook_fails(monkeypatch, capsys):
     monkeypatch.setattr(cli, "build_params", perturbed)
     assert main(["selftest"]) == 1
     out = capsys.readouterr().out
-    assert "FAIL generator unitary (d=2)" in out
     assert "FAIL codeword energy preserved (d=2)" in out
+
+
+def test_selftest_reports_a_failed_code_build(monkeypatch, capsys):
+    # a generator that build_params itself rejects is one FAIL line, not a traceback
+    golden = pstbc._golden_generator
+    monkeypatch.setattr(pstbc, "_golden_generator", lambda: 1.001 * golden())
+    pstbc.build_params.cache_clear()
+    try:
+        rc = main(["selftest"])
+    finally:
+        monkeypatch.undo()
+        pstbc.build_params.cache_clear()
+    out = capsys.readouterr().out
+    assert rc == 1
+    fails = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1
+    assert fails[0].startswith("FAIL code parameters (d=2): generator for D=2 is not unitary")
 
 
 def test_missing_config_is_reported(tmp_path, capsys):
@@ -350,6 +384,29 @@ def test_ctrl_c_during_sweep_is_one_line(config_file, tmp_path, capsys, monkeypa
     assert not multiprocessing.active_children()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool workers must inherit the patched pipeline")
+def test_ctrl_c_stops_running_pool_batches(config_file, tmp_path, capsys, monkeypatch):
+    # workers ignore SIGINT, so a real Ctrl-C must not wait out the batches
+    # they are running
+    monkeypatch.setattr(sim_engine._FramePipeline, "run_batch",
+                        lambda self, *batch: time.sleep(30))
+    out = tmp_path / "x.csv"
+    timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT))
+    start = time.monotonic()
+    timer.start()
+    try:
+        rc = main(["sweep", "--config", str(config_file), "--out", str(out),
+                   "--snr-min", "4", "--snr-max", "8", "--workers", "2"])
+    finally:
+        timer.cancel()
+    assert rc == 130
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config"])
@@ -357,13 +414,14 @@ def test_usage_error_exits_two():
 
 
 def test_workers_below_one_is_a_usage_error(config_file, tmp_path, capsys):
-    for bad in ("0", "-2"):
+    for bad in ("0", "-2", "abc", "2.5"):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(config_file),
                   "--out", str(tmp_path / "x.csv"),
                   "--snr-min", "1", "--snr-max", "1", "--workers", bad])
         assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"--workers: expected an integer from 1 to 64, got '{bad}'" in err
     assert not (tmp_path / "x.csv").exists()
 
 

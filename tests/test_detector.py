@@ -120,6 +120,11 @@ def random_symbols(rng, c, d):
     return c.points[labels], labels
 
 
+def frame_metrics(params, c, lam, groups):
+    """Metrics of one frame: lam (d,), groups (n, d), through a fresh engine."""
+    return MetricEngine(params, c).bit_metrics(lam[None], groups[None])[0]
+
+
 def test_group_columns_pattern():
     # columns group_decompose gathers layer v from, one row per layer
     assert build_params(3).cols.tolist() == [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -181,7 +186,7 @@ def test_exhaustive_metrics_match_brute_force(order, d, n_trials):
         x, _ = random_symbols(rng, c, d)
         noise = 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         y = m_mat @ x + noise
-        got = MetricEngine(params, c, lam).bit_metrics(y[None])
+        got = frame_metrics(params, c, lam, y[None])
         ref_gamma, ref_umin = brute_metrics(y, m_mat, c)
         assert np.allclose(got[0], ref_gamma, atol=1e-10)
         assert umin(got)[0] == pytest.approx(ref_umin, abs=1e-10)
@@ -201,7 +206,7 @@ def test_sphere_matches_exhaustive(order, d):
         noise = 0.4 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
         groups.append(m_mat @ x + noise)
     groups = np.stack(groups)
-    lord = MetricEngine(params, c, lam).bit_metrics(groups)
+    lord = frame_metrics(params, c, lam, groups)
     q, r = qr_reduce(m_mat)
     sphere = sphere_metrics(groups @ q.conj(), r, c)
     assert np.allclose(sphere, lord, atol=1e-9)
@@ -229,7 +234,7 @@ def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
     lam[1, -1] = 0.0                       # a zero singular value leaves a layer flat
     groups = np.stack([noisy_groups(rng, params, c, lam[f], 4, s)
                        for f, s in enumerate((0.3, 1.0))])
-    got = MetricEngine(params, c, lam).bit_metrics(groups)
+    got = MetricEngine(params, c).bit_metrics(lam, groups)
     for f in range(2):
         for g in range(4):
             ref_gamma, ref_umin = brute_metrics(groups[f, g],
@@ -241,25 +246,27 @@ def test_peeled_metrics_match_brute_force(monkeypatch, order, d, limit):
 
 
 def test_shared_workspace_keeps_peeled_metrics_exact():
-    """Peeled D=4 and D=6 16-QAM calls on one workspace, between grid calls,
-    match the oracle frame by frame, so the grid's output store and the
-    peeled output never share a slot."""
-    work = detector.Workspace()
+    """Peeled D=4 and D=6 16-QAM calls, a second call on the D=4 engine's
+    buffers included, match the oracle frame by frame, so the grid's output
+    store and the peeled output never share a slot."""
+    engines = {}
     c = QamConstellation(16)
     rng = np.random.default_rng(700)
     for d in (4, 2, 6, 4):
         params = build_params(d)
+        engine = engines.setdefault(d, MetricEngine(params, c))
         lam = np.stack([random_lam(rng, d) for _ in range(2)])
         groups = np.stack([noisy_groups(rng, params, c, row, 2, 0.3) for row in lam])
-        got = MetricEngine(params, c, lam).bit_metrics(groups, work)
+        got = engine.bit_metrics(lam, groups)
         for f in range(2):
             q, r = qr_reduce(lam[f][:, None] * params.generator)
             assert np.allclose(got[f], sphere_metrics(groups[f] @ q.conj(), r, c), atol=1e-10)
 
 
-def test_peeled_leaf_grids_reuse_the_callers_workspace(monkeypatch):
-    """Two D=4 16-QAM calls on one workspace run every leaf grid in it, and
-    the second call's leaves land in the buffers the first call left."""
+def test_peeled_leaf_grids_reuse_the_engines_workspace(monkeypatch):
+    """Two D=4 16-QAM calls on one engine run every leaf grid in its
+    workspace, and the second call's leaves land in the buffers the first
+    call left."""
     leaves = []
     grid = detector._lord_grid
 
@@ -274,29 +281,34 @@ def test_peeled_leaf_grids_reuse_the_callers_workspace(monkeypatch):
     params, c = build_params(4), QamConstellation(16)
     lam = np.stack([random_lam(rng, 4) for _ in range(2)])
     groups = np.stack([noisy_groups(rng, params, c, row, 8, 0.3) for row in lam])
-    engine = MetricEngine(params, c, lam)
-    work = detector.Workspace()
-    first = engine.bit_metrics(groups, work).copy()
+    engine = MetricEngine(params, c)
+    first = engine.bit_metrics(lam, groups).copy()
     n_first = len(leaves)
     assert n_first == 4                          # 2 frames x 2 chunks of groups
-    assert np.array_equal(engine.bit_metrics(groups, work), first)
+    assert np.array_equal(engine.bit_metrics(lam, groups), first)
     assert len(leaves) == 2 * n_first
-    assert all(w is work for w, _ in leaves)
+    assert all(w is engine._work for w, _ in leaves)
     last = leaves[n_first - 1][1]
     assert all(np.shares_memory(out, last) for _, out in leaves[n_first:])
 
 
-def test_standalone_results_are_not_overwritten():
-    """Without a workspace each call owns its result."""
-    rng = np.random.default_rng(710)
-    params, c = build_params(2), QamConstellation(16)
-    lam = random_lam(rng, 2)
-    engine = MetricEngine(params, c, lam)
-    first = engine.bit_metrics(noisy_groups(rng, params, c, lam, 5, 0.3))
+@pytest.mark.parametrize("d", [2, 4])
+def test_results_are_overwritten_only_by_their_engine(d):
+    """A result holds until its engine's next call, which writes over it;
+    two engines share no buffers, on the grid (D=2) or peeled (D=4) path."""
+    rng = np.random.default_rng(710 + d)
+    params, c = build_params(d), QamConstellation(16)
+    lam = random_lam(rng, d)[None]
+    batches = [noisy_groups(rng, params, c, lam[0], 5, 0.3)[None] for _ in range(2)]
+    one, other = MetricEngine(params, c), MetricEngine(params, c)
+    first = one.bit_metrics(lam, batches[0])
     kept = first.copy()
-    second = engine.bit_metrics(noisy_groups(rng, params, c, lam, 5, 0.3))
+    second = other.bit_metrics(lam, batches[1])
     assert not np.shares_memory(first, second)
     assert np.array_equal(first, kept)
+    again = one.bit_metrics(lam, batches[1])
+    assert np.shares_memory(first, again)
+    assert np.array_equal(first, second) and not np.array_equal(first, kept)
 
 
 @pytest.mark.parametrize("sigma", [0.1, 0.3])
@@ -306,7 +318,7 @@ def test_peeled_d6_16qam_matches_sphere_oracle(sigma):
     c = QamConstellation(16)
     lam = random_lam(rng, 6)
     groups = noisy_groups(rng, params, c, lam, 2, sigma)
-    got = MetricEngine(params, c, lam).bit_metrics(groups)
+    got = frame_metrics(params, c, lam, groups)
     q, r = qr_reduce(lam[:, None] * params.generator)
     oracle = sphere_metrics(groups @ q.conj(), r, c)
     assert np.allclose(got, oracle, atol=1e-10)
@@ -320,14 +332,14 @@ def test_lord_ragged_chunks_are_exact(monkeypatch, d, order):
     c = QamConstellation(order)
     lam = np.stack([random_lam(rng, d) for _ in range(5)])
     groups = np.stack([noisy_groups(rng, params, c, row, 7, 0.5) for row in lam])
-    engine = MetricEngine(params, c, lam)
-    whole = engine.bit_metrics(groups)
+    engine = MetricEngine(params, c)
+    whole = engine.bit_metrics(lam, groups).copy()
     n_cand = order ** (d - 1)
     # 2 of the 5 frames per chunk, then 3 of the 7 groups; every grid here
     # is within _GRID_MAX, so nothing is peeled
     for pairs in (2 * 7 * n_cand, 3 * n_cand):
         monkeypatch.setattr(detector, "_CHUNK_PAIRS", pairs)
-        assert np.array_equal(engine.bit_metrics(groups), whole)
+        assert np.array_equal(engine.bit_metrics(lam, groups), whole)
 
 
 @pytest.mark.parametrize("d,order", [(2, 16), (2, 4), (3, 16), (3, 4), (4, 4), (6, 4)])
@@ -370,9 +382,9 @@ def test_peeled_leaf_grids_are_bit_identical(monkeypatch, limit, leaf):
     lam = np.stack([random_lam(rng, 3), random_lam(rng, 3)])
     lam[1, -1] = 0.0
     groups = np.stack([noisy_groups(rng, params, c, row, 5, 0.5) for row in lam])
-    engine, work = MetricEngine(params, c, lam), detector.Workspace()
-    engine.bit_metrics(groups, work)
-    engine.bit_metrics(groups[::-1, ::-1], work)
+    engine = MetricEngine(params, c)
+    engine.bit_metrics(lam, groups)
+    engine.bit_metrics(lam, groups[::-1, ::-1])
     assert layers and set(layers) == {leaf}
 
 
@@ -385,15 +397,15 @@ def test_peeling_only_above_lord_grid_limit(monkeypatch):
         peeled(q, r, peel, c, work, out)
 
     monkeypatch.setattr(detector, "_peeled", spy)
-    MetricEngine(build_params(6), QamConstellation(4),
-                 np.ones(6)).bit_metrics(np.zeros((2, 6)))
+    MetricEngine(build_params(6), QamConstellation(4)).bit_metrics(
+        np.ones((1, 6)), np.zeros((1, 2, 6)))
     assert calls == []                           # 4^5 = _GRID_MAX
-    MetricEngine(build_params(4), QamConstellation(16),
-                 np.ones(4)).bit_metrics(np.zeros((2, 4)))
+    MetricEngine(build_params(4), QamConstellation(16)).bit_metrics(
+        np.ones((1, 4)), np.zeros((1, 2, 4)))
     assert calls == [((2, 4), 1)]                # 16^3 > _GRID_MAX >= 16^2
     calls.clear()
-    MetricEngine(build_params(6), QamConstellation(16),
-                 np.ones((3, 6))).bit_metrics(np.zeros((3, 2, 6)))
+    MetricEngine(build_params(6), QamConstellation(16)).bit_metrics(
+        np.ones((3, 6)), np.zeros((3, 2, 6)))
     assert calls == [((2, 6), 3)] * 3            # 16^3 > _GRID_MAX >= 16^2
 
 
@@ -405,10 +417,10 @@ def test_detector_memory_is_bounded():
     lam = np.sort(rng.uniform(0.5, 3.0, (32, 3)), axis=1)[:, ::-1]
     groups = rng.standard_normal((32, n_groups, 3)) \
         + 1j * rng.standard_normal((32, n_groups, 3))
-    engine = MetricEngine(build_params(3), QamConstellation(16), lam)
+    engine = MetricEngine(build_params(3), QamConstellation(16))
     tracemalloc.start()
     try:
-        engine.bit_metrics(groups)
+        engine.bit_metrics(lam, groups)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -422,10 +434,10 @@ def test_peeled_detector_memory_is_bounded():
     c = QamConstellation(16)
     lam = np.stack([random_lam(rng, 6) for _ in range(2)])
     groups = np.stack([noisy_groups(rng, params, c, row, 3, 0.2) for row in lam])
-    engine = MetricEngine(params, c, lam)
+    engine = MetricEngine(params, c)
     tracemalloc.start()
     try:
-        engine.bit_metrics(groups)
+        engine.bit_metrics(lam, groups)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -444,8 +456,7 @@ def test_noiseless_metrics_vanish_at_true_bits(d):
         x[v], labels[v] = random_symbols(rng, c, d)
     z = encode_batch(params, x)
     groups = group_decompose(lam[:, None] * z, params)
-    engine = MetricEngine(params, c, lam)
-    gamma = engine.bit_metrics(groups)
+    gamma = frame_metrics(params, c, lam, groups)
     assert np.allclose(umin(gamma), 0.0, atol=1e-18)
     for v in range(d):
         for m in range(d):
@@ -461,7 +472,7 @@ def test_umin_is_overall_minimum():
     c = QamConstellation(16)
     lam = random_lam(rng, 2)
     y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    gamma = MetricEngine(params, c, lam).bit_metrics(y)
+    gamma = frame_metrics(params, c, lam, y)
     assert np.allclose(umin(gamma), gamma.min(axis=(1, 2, 3)), atol=1e-12)
     assert np.allclose(gamma.min(axis=3).max(axis=(1, 2)), umin(gamma), atol=1e-12)
 
@@ -474,7 +485,7 @@ def test_degenerate_singular_value_still_exact():
     m_mat = lam[:, None] * params.generator
     x, _ = random_symbols(rng, c, 2)
     y = m_mat @ x + 0.2 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    gamma = MetricEngine(params, c, lam).bit_metrics(y[None])
+    gamma = frame_metrics(params, c, lam, y[None])
     ref_gamma, ref_umin = brute_metrics(y, m_mat, c)
     assert np.allclose(gamma[0], ref_gamma, atol=1e-10)
 
@@ -482,20 +493,12 @@ def test_degenerate_singular_value_still_exact():
 def test_engine_validation():
     params = build_params(2)
     c = QamConstellation(16)
-    with pytest.raises(ValueError):
-        MetricEngine(params, c, np.ones(3))
-    with pytest.raises(ValueError):
-        MetricEngine(params, c, np.array([1.0, -0.1]))
-    with pytest.raises(ValueError):
-        MetricEngine(params, c, np.ones((2, 2, 2)))
-    engine = MetricEngine(params, c, np.ones(2))
-    with pytest.raises(ValueError):
-        engine.bit_metrics(np.zeros((4, 3)))
-    with pytest.raises(ValueError):
-        engine.bit_metrics(np.zeros((3, 4, 2)))
-    batched = MetricEngine(params, c, np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        batched.bit_metrics(np.zeros((4, 2)))
-    with pytest.raises(ValueError):
-        batched.bit_metrics(np.zeros((2, 4, 2)))
-    assert batched.bit_metrics(np.zeros((3, 0, 2))).shape == (3, 0, 2, 4, 2)
+    engine = MetricEngine(params, c)
+    for lam in (np.ones((1, 3)), np.array([[1.0, -0.1]]), np.ones(2), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError):
+            engine.bit_metrics(lam, np.zeros((len(lam), 4, 2)))
+    lam = np.ones((3, 2))
+    for groups in (np.zeros((4, 2)), np.zeros((2, 4, 2)), np.zeros((3, 4, 3))):
+        with pytest.raises(ValueError):
+            engine.bit_metrics(lam, groups)
+    assert engine.bit_metrics(lam, np.zeros((3, 0, 2))).shape == (3, 0, 2, 4, 2)

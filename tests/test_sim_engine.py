@@ -102,9 +102,10 @@ def test_batched_metrics_match_metric_engine():
         lam = np.sort(rng.uniform(0.5, 3.0, (3, dim)), axis=1)[:, ::-1]
         groups = rng.standard_normal((3, n_groups, dim)) \
             + 1j * rng.standard_normal((3, n_groups, dim))
-        batched = MetricEngine(params, c, lam).bit_metrics(groups)
+        batched = MetricEngine(params, c).bit_metrics(lam, groups)
+        per_frame = MetricEngine(params, c)
         for i in range(3):
-            ref = MetricEngine(params, c, lam[i]).bit_metrics(groups[i])
+            ref = per_frame.bit_metrics(lam[i:i + 1], groups[i:i + 1])[0]
             assert np.allclose(batched[i], ref, atol=1e-12)
             assert np.allclose(batched[i, :, 0, 0, :].min(axis=-1),
                                ref[:, 0, 0, :].min(axis=-1), atol=1e-12)
@@ -123,7 +124,7 @@ def test_metric_rows_follow_mapped_bit_order(dim, order):
     lam = np.sort(rng.uniform(0.5, 3.0, (n_frames, dim)), axis=1)[:, ::-1]
     y = lam[:, None, :, None] * encode_batch(params, x)
     groups = group_decompose(y, params).reshape(n_frames, n_codewords * dim, dim)
-    gamma = MetricEngine(params, c, lam).bit_metrics(groups)
+    gamma = MetricEngine(params, c).bit_metrics(lam, groups)
     assert np.array_equal(gamma.reshape(n_frames, -1, 2).argmin(-1), bits)
 
 
@@ -179,7 +180,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     # most two batches of it and nothing is dropped unless the budget stops it
     counts = set()
     for workers in (1, 2, 3):
-        res = run_ber_point(SMALL, snr_db=6.0, snr_index=0, workers=workers)
+        (res,) = run_sweep(SMALL, [6.0], workers=workers)
         counts.add((res.frames, res.info_bits, res.bit_errors))
     assert len(counts) == 1
     # the budget is met in the first batch: the speculative batches that run
@@ -195,7 +196,7 @@ def test_worker_count_does_not_change_results(monkeypatch):
     eager = SystemConfig(nominal_info_bits=128, batch_frames=4, max_frames=400,
                          target_bit_errors=5)
     serial = run_ber_point(eager, snr_db=-20.0)
-    assert run_ber_point(eager, snr_db=-20.0, workers=3) == serial
+    assert run_sweep(eager, [-20.0], workers=3) == [serial]
     assert serial.frames == 4
     assert len(submitted) >= 3
     assert sorted(submitted) == list(range(0, 4 * len(submitted), 4))
@@ -371,7 +372,7 @@ def test_sweep_opens_one_pool(monkeypatch):
 def test_pool_workers_leave_ctrl_c_to_the_parent():
     # a terminal's Ctrl-C reaches the whole process group: workers ignore
     # it and run on until the parent shuts the pool down, printing nothing
-    runner = sim_engine._open_runner(SMALL, 2)
+    runner = sim_engine._PoolRunner(SMALL, 2)
     try:
         assert runner.pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
     finally:
@@ -387,8 +388,6 @@ def test_worker_counts_above_the_cap_start_no_pool(monkeypatch):
     monkeypatch.setattr(sim_engine, "ProcessPoolExecutor", NoPool)
     too_many = sim_engine.MAX_WORKERS + 1
     for bad in (0, too_many, 100000):
-        with pytest.raises(ValueError, match="workers must be from 1 to 64"):
-            run_ber_point(SMALL, snr_db=6.0, workers=bad)
         with pytest.raises(ValueError, match="workers must be from 1 to 64"):
             run_sweep(SMALL, [6.0], workers=bad)
     # the cap itself is admitted: the sweep goes on to build its pool
@@ -441,12 +440,6 @@ def test_pipeline_for_another_config_is_rejected():
     wide = dataclasses.replace(SMALL, nominal_info_bits=1024)
     with pytest.raises(ValueError, match="different config"):
         run_ber_point(SMALL, snr_db=6.0, pipeline=sim_engine._FramePipeline(wide))
-    runner = sim_engine._open_runner(wide, 2)
-    try:
-        with pytest.raises(ValueError, match="different config"):
-            run_ber_point(SMALL, snr_db=6.0, workers=2, pipeline=runner)
-    finally:
-        runner.close()
 
 
 def test_stop_rules():
@@ -561,20 +554,20 @@ def test_frame_ceiling_is_checked_at_config_time():
 
 
 def test_pipeline_reuses_its_detector_workspace(monkeypatch):
-    """Two batches on one pipeline share the detector's buffers and match fresh pipelines."""
+    """Two batches on one pipeline run on its one detector's buffers and match fresh pipelines."""
     calls = []
     original = MetricEngine.bit_metrics
 
-    def spy(self, groups, work=None):
-        gamma = original(self, groups, work)
-        calls.append((work, gamma, dict(work._buffers)))
+    def spy(self, lam, groups):
+        gamma = original(self, lam, groups)
+        calls.append((self, gamma, dict(self._work._buffers)))
         return gamma
 
     monkeypatch.setattr(MetricEngine, "bit_metrics", spy)
     pipe = sim_engine._FramePipeline(SMALL)
     counts = [pipe.run_batch(6.0, 0, start, 8) for start in (0, 8)]
-    (work_a, gamma_a, held_a), (work_b, gamma_b, held_b) = calls
-    assert work_a is work_b is pipe.work
+    (engine_a, gamma_a, held_a), (engine_b, gamma_b, held_b) = calls
+    assert engine_a is engine_b is pipe.detector
     assert np.shares_memory(gamma_a, gamma_b)
     assert held_a.keys() == held_b.keys()
     assert all(held_b[name] is buf for name, buf in held_a.items())
