@@ -19,6 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest steering phase span, mean channel power and noise variance a link
+# may have: squared residuals of values this size, summed over a frame, stay
+# finite with headroom below the float64 maximum of about 1.8e308.
+NUMERIC_CEILING = 1e300
+
 
 @dataclass(frozen=True)
 class ArrayGeometry:
@@ -36,6 +41,11 @@ class ArrayGeometry:
                 raise ValueError(f"{name} must be a positive integer")
         if not 0 < self.spacing < np.inf:
             raise ValueError("spacing must be positive and finite")
+        # as a Python float, an overflow reads inf instead of warning
+        span = 2 * np.pi * float(self.spacing) * (max(self.n_t, self.n_r) - 1)
+        if span > NUMERIC_CEILING:
+            raise ValueError(f"spacing = {self.spacing:g} gives a steering phase span of "
+                             f"{span:.3g} rad, above the ceiling of {NUMERIC_CEILING:g}")
 
     @property
     def total_tx(self) -> int:

@@ -7,12 +7,16 @@ Grids (beta, n_paths) use semicolon-separated rows, e.g.
     n_paths = 6 2; 3 1
 
 Exit codes: 0 success, 1 failed checks, bad inputs or a sweep worker that
-died, 2 usage errors, 130 interrupted (Ctrl-C).
+died, 2 usage errors, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
+A SIGTERM unwinds a run as Ctrl-C does, so a sweep's pool is shut down.
 """
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
+import threading
 from concurrent.futures import BrokenExecutor
 from fractions import Fraction
 
@@ -126,6 +130,9 @@ def _snr_grid(args) -> np.ndarray:
 def _cmd_sweep(args) -> int:
     config = load_config(args.config, args.seed)
     grid = _snr_grid(args)
+    # a sweep can run for hours, so a CSV path that cannot be written fails first
+    if os.path.isdir(args.out) or not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ValueError(f"--out {args.out} is not a file in an existing directory")
     results = run_sweep(config, grid, workers=args.workers)
     write_csv(args.out, results, config_hash(config))
     for r in results:
@@ -275,8 +282,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread; like KeyboardInterrupt, no except Exception takes it."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # only the main thread may set a handler; it is restored for in-process callers
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
         return args.func(args)
     except (ValueError, OSError, MemoryError, BrokenExecutor) as exc:
@@ -285,6 +303,12 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:   # any pool is shut down by then
         print("interrupted", file=sys.stderr)
         return 130
+    except _Terminated:         # so it is here
+        print("terminated", file=sys.stderr)
+        return 143
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@ traced back from the all-zero state.
 
 GENERATORS become taps in one place, the (2, K) table _TAPS.  conv_encode
 reads it to encode a whole (frames, bits) block with one shifted XOR per
-nonzero tap, and _tables() reads it to label the trellis branches, so the
-encoder and the decoder share one definition of the code.
+nonzero tap, and _labels() reads it to label the trellis branches, so the
+encoder and the decoder share one definition of the code.  That butterfly
+label table is the one trellis table: the decoder runs on it, and
+free_distance runs the same add-compare-select on its branch weights.
 
 The trellis runs as butterflies with frames on the innermost axis: states
 2j and 2j + 1 feed states j and 32 + j, so one step is one broadcast add,
@@ -39,7 +41,6 @@ those tables.
 from __future__ import annotations
 
 from functools import lru_cache
-import heapq
 
 import numpy as np
 
@@ -51,29 +52,26 @@ N_TAIL = K - 1      # zero bits that flush the register back to state 0
 _CHUNK = 8          # trellis steps whose branch metrics are built at once
 
 # _TAPS[i, k] = 1 where coded output i sees the input bit from k steps back;
-# the block encoder and the trellis tables both read it.
+# the block encoder and the trellis labels both read it.
 _TAPS = (np.array(GENERATORS)[:, None] >> np.arange(K - 1, -1, -1)) & 1
 _TAPS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
-def _tables():
-    """next_state[s, b], out0[s, b], out1[s, b] and the butterfly label table.
+def _labels():
+    """The butterfly label table, the one table of the trellis.
 
     New state h*32 + j is reached from states 2j and 2j + 1 on input bit h
     (the input enters the register's MSB, so register bit p is the input
-    from K - 1 - p steps back).  lab[p, h, j] = 2*out0 + out1 is the coded
-    pair, as a 2-bit label, on the branch from 2j + p to h*32 + j.
+    from K - 1 - p steps back).  lab[p, h, j] = 2*c0 + c1 is the coded pair
+    (c0, c1), as a 2-bit label, on the branch from 2j + p to h*32 + j.
     """
-    reg = (np.arange(2) << (K - 1)) | np.arange(N_STATES)[:, None]     # reg[s, b]
-    window = (reg[..., None] >> np.arange(K - 1, -1, -1)) & 1          # k steps back
-    nxt = reg >> 1
-    out0, out1 = np.tensordot(_TAPS, window, (1, 2)) % 2
-    pred = 2 * np.arange(N_STATES // 2) + np.arange(2)[:, None]        # pred[p, j]
-    lab = (2 * out0 + out1)[pred[:, None, :], np.arange(2)[:, None]]
-    for table in (nxt, out0, out1, lab):
-        table.setflags(write=False)
-    return nxt, out0, out1, lab
+    p, h, j = np.ogrid[:2, :2, :N_STATES // 2]
+    reg = (h << (K - 1)) | (2 * j + p)                          # the branch's register
+    window = (reg[..., None] >> np.arange(K - 1, -1, -1)) & 1   # input k steps back
+    lab = (window @ _TAPS.T % 2) @ np.array([2, 1])
+    lab.setflags(write=False)
+    return lab
 
 
 def conv_encode(bits: np.ndarray) -> np.ndarray:
@@ -96,26 +94,21 @@ def conv_encode(bits: np.ndarray) -> np.ndarray:
 
 
 def free_distance() -> int:
-    """Minimum Hamming weight over nonzero paths leaving and rejoining state 0."""
-    nxt, out0, out1, *_ = _tables()
-    # forced divergence: input 1 from state 0
-    start = nxt[0, 1]
-    heap = [(int(out0[0, 1] + out1[0, 1]), int(start))]
-    best_merge = np.inf
-    seen = {}
-    while heap:
-        d, s = heapq.heappop(heap)
-        if s in seen and seen[s] <= d:
-            continue
-        seen[s] = d
-        for b in (0, 1):
-            w = d + int(out0[s, b] + out1[s, b])
-            t = int(nxt[s, b])
-            if t == 0:
-                best_merge = min(best_merge, w)
-            elif t not in seen or seen[t] > w:
-                heapq.heappush(heap, (w, t))
-    return int(best_merge)
+    """Minimum Hamming weight over nonzero paths leaving and rejoining state 0.
+
+    The decoder's add-compare-select on branch weights, starting on the
+    branch that leaves state 0 on input 1.  State 0 keeps the best merge,
+    since its self-loop weighs 0, and the search stops once no other metric
+    is below it.  The code is not catastrophic, so every other metric grows.
+    """
+    lab = _labels()
+    weight = (lab >> 1) + (lab & 1)         # Hamming weight of each branch's pair
+    half = N_STATES // 2
+    pm = np.full(N_STATES, np.inf)
+    pm[half] = weight[0, 1, 0]              # the branch from 0 to 32 on input 1
+    while (pm[1:] < pm[0]).any():           # pm[2j + p] read as [p, j], as the decoder does
+        pm = (pm.reshape(half, 2).T[:, None] + weight).min(axis=0).ravel()
+    return int(pm[0])
 
 
 def viterbi_decode_batch(metrics: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
@@ -145,7 +138,7 @@ def viterbi_decode_batch(metrics: np.ndarray, order: np.ndarray | None = None) -
     rows = rows.reshape(steps, 2)       # the rows of each step's two coded bits
     if not (m > -np.inf).all():
         raise ValueError("metrics must not be NaN or -inf")
-    lab = _tables()[3]
+    lab = _labels()
     half = N_STATES // 2
 
     # Frames innermost.  pm_pairs[p, 0, j] aliases pm[2j + p] (the two

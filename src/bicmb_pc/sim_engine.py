@@ -38,7 +38,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channel_model import ArrayGeometry, _check_beta, _check_paths, draw_paths, path_core
+from .channel_model import (NUMERIC_CEILING, ArrayGeometry, _check_beta, _check_paths,
+                            draw_paths, path_core)
 from .detector import MetricEngine
 from .fec import (N_TAIL, QamConstellation, bits_per_symbol, conv_encode, interleaver,
                   viterbi_decode_batch)
@@ -66,15 +67,23 @@ def is_degenerate(lam: np.ndarray):
 
 
 def noise_variance(total_tx: int, snr_db: float) -> float:
-    """n0 = total_tx / 10^(snr_db / 10); snr_db = inf gives 0 (noiseless)."""
+    """n0 = total_tx / 10^(snr_db / 10); snr_db = inf gives 0 (noiseless).
+
+    An SNR whose n0 is out of floating-point range or above NUMERIC_CEILING
+    is rejected by name.
+    """
     if total_tx < 1:
         raise ValueError("total_tx must be positive")
     if np.isnan(float(snr_db)):
         raise ValueError(f"SNR {snr_db} dB is not a number")
     try:
-        return total_tx / (10.0 ** (float(snr_db) / 10.0))
+        n0 = total_tx / (10.0 ** (float(snr_db) / 10.0))
     except ArithmeticError:     # 10 ** (snr/10) overflowed, or underflowed to zero
         raise ValueError(f"SNR {snr_db} dB is out of floating-point range") from None
+    if n0 > NUMERIC_CEILING:
+        raise ValueError(f"SNR {snr_db} dB gives noise variance {n0:.3g}, "
+                         f"above the ceiling of {NUMERIC_CEILING:g}")
+    return n0
 
 
 def cn_noise(rngs, shape: tuple, n0: float) -> np.ndarray:
@@ -128,8 +137,12 @@ class SystemConfig:
         p = _check_paths(self.n_paths, geom)
         object.__setattr__(self, "beta", _grid(self.beta))
         object.__setattr__(self, "n_paths", _grid(p))
-        if b.sum() == 0:
+        power = sum(b.ravel().tolist()) * geom.n_t * geom.n_r     # as Python floats, inf on overflow
+        if power == 0:
             raise ValueError("beta must have a positive sum")
+        if power > NUMERIC_CEILING:
+            raise ValueError(f"beta gives a mean channel power of {power:.3g}, "
+                             f"above the ceiling of {NUMERIC_CEILING:g}")
         if self.dim > int(p[b > 0].sum()):
             raise ValueError("channel rank cannot support this many streams")
         # n_info also rejects unsupported constellation orders (fec.bits_per_symbol)
@@ -291,9 +304,14 @@ def _worker_pipeline(config: SystemConfig) -> _FramePipeline:
     return _FramePipeline(config)
 
 
-def _ignore_sigint():
-    """Pool worker start-up: Ctrl-C is the parent's to handle, which shuts the pool down."""
+def _worker_signals():
+    """Pool worker start-up: Ctrl-C is the parent's to handle, which shuts the pool down.
+
+    SIGTERM takes its default action again, whatever handler the parent had
+    when the worker forked, so terminating a worker ends it.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 class _PoolRunner:
@@ -301,7 +319,7 @@ class _PoolRunner:
 
     def __init__(self, config: SystemConfig, workers: int):
         self.config, self.workers = config, workers
-        self.pool = ProcessPoolExecutor(max_workers=workers, initializer=_ignore_sigint)
+        self.pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
 
     def submit(self, *batch) -> Future:
         return self.pool.submit(_batch_worker, self.config, *batch)
@@ -349,6 +367,9 @@ def _run_points(runner, points, noiseless: bool = False):
     pending = [[] for _ in points]      # futures not yet absorbed, in frame order
     bits, errors, done = [0] * n, [0] * n, [False] * n
     running, first = set(), 0           # first: the lowest unfinished point
+    snrs = [float("inf") if noiseless else s for s, _ in points]    # noise_variance(., inf) == 0
+    for snr in snrs:                    # an SNR out of range fails before any batch runs
+        noise_variance(cfg.geometry.total_tx, snr)
 
     def pick():
         unfinished = [i for i in range(first, n) if not done[i]]
@@ -358,8 +379,7 @@ def _run_points(runner, points, noiseless: bool = False):
 
     while first < n:
         while len(running) < runner.workers and (i := pick()) is not None:
-            snr = float("inf") if noiseless else points[i][0]   # noise_variance(., inf) == 0
-            future = runner.submit(snr, points[i][1], sent[i] * size, size)
+            future = runner.submit(snrs[i], points[i][1], sent[i] * size, size)
             pending[i].append(future)
             sent[i] += 1
             running.add(future)

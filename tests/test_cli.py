@@ -1,7 +1,11 @@
+import contextlib
+import ctypes
 import dataclasses
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 
@@ -154,6 +158,21 @@ def test_sweep_rejects_out_of_range_snr(config_file, tmp_path, capsys, snr):
     assert rc == 1
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"SNR {float(snr)} dB" in err
+
+
+def _no_batch(*args, **kwargs):
+    raise AssertionError("a batch ran")
+
+
+@pytest.mark.parametrize("out", ["nodir/x.csv", "."])
+def test_out_is_checked_before_any_batch(config_file, tmp_path, capsys, monkeypatch, out):
+    monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", _no_batch)
+    path = f"{tmp_path}/{out}"
+    rc = main(["sweep", "--config", str(config_file), "--out", path,
+               "--snr-min", "4", "--snr-max", "16", "--snr-step", "4"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"error: --out {path} is not a file in an existing directory\n"
 
 
 @pytest.mark.parametrize("exc,line", [
@@ -407,6 +426,83 @@ def test_ctrl_c_stops_running_pool_batches(config_file, tmp_path, capsys, monkey
     assert not multiprocessing.active_children()
 
 
+def _proc_state_and_parent(pid: int):
+    """(state, ppid) from /proc/<pid>/stat, or None once the process is gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            stat = fh.read()
+    except OSError:
+        return None
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]    # the name may hold spaces
+    return state, int(ppid)
+
+
+def _live_children(pid: int) -> list[int]:
+    kids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        info = _proc_state_and_parent(int(entry))
+        if info is not None and info[1] == pid and info[0] != "Z":
+            kids.append(int(entry))
+    return kids
+
+
+@contextlib.contextmanager
+def _subreaper():
+    """While active, orphaned descendants are re-parented to this process, which can reap them."""
+    prctl, set_child_subreaper = ctypes.CDLL(None).prctl, 36
+    prctl.argtypes, prctl.restype = [ctypes.c_int] + [ctypes.c_ulong] * 4, ctypes.c_int
+    prctl(set_child_subreaper, 1, 0, 0, 0)
+    try:
+        yield
+    finally:
+        prctl(set_child_subreaper, 0, 0, 0, 0)
+
+
+@pytest.mark.skipif(sys.platform != "linux" or multiprocessing.get_start_method() != "fork",
+                    reason="reads /proc, and pool workers must fork")
+def test_sigterm_stops_a_pooled_sweep(tmp_path):
+    # a D=3 16-QAM sweep that would run for minutes on two workers
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("dim = 3\nmax_frames = 20000\ntarget_bit_errors = 1000000000\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    workers = []
+    with _subreaper(), subprocess.Popen(
+            [sys.executable, "-m", "bicmb_pc.cli", "sweep", "--config", str(cfg),
+             "--out", str(tmp_path / "x.csv"), "--snr-min", "24", "--snr-max", "27",
+             "--workers", "2"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+                workers = _live_children(proc.pid)
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=5) == 143
+            left = [pid for pid in workers
+                    if (_proc_state_and_parent(pid) or ("Z",))[0] != "Z"]
+            assert not left
+            assert proc.stderr.read() == "terminated\n"     # no worker holds the pipe now
+            assert not (tmp_path / "x.csv").exists()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            for pid in workers:     # a worker the sweep left behind, re-parented here
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+                with contextlib.suppress(ChildProcessError):
+                    os.waitpid(pid, 0)
+
+
+def test_sigterm_handler_is_restored_after_main(config_file, tmp_path):
+    before = signal.getsignal(signal.SIGTERM)
+    assert main(["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+                 "--snr-min", "4", "--snr-max", "4"]) == 0
+    assert signal.getsignal(signal.SIGTERM) == before
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--config"])
@@ -506,6 +602,48 @@ def test_sweep_rejects_non_finite_spacing(tmp_path, capsys):
     assert rc == 1
     assert err == "error: spacing must be positive and finite\n"
     assert not (tmp_path / "x.csv").exists()
+
+
+CEILING_CONFIG = "nominal_info_bits = 128\nbatch_frames = 2\nmax_frames = 2\n"
+
+
+@pytest.mark.parametrize("line, snr, problem", [
+    ("beta = 1e305 1e305; 1e305 1e305", "20",
+     "beta gives a mean channel power of 5.12e+307, above the ceiling of 1e+300"),
+    ("beta = 1e306 1e306; 1e306 1e306", "20",
+     "beta gives a mean channel power of inf, above the ceiling of 1e+300"),
+    ("beta = 1e307 1e307; 1e307 1e307", "20",
+     "beta gives a mean channel power of inf, above the ceiling of 1e+300"),
+    ("spacing = 1e307", "20", "spacing = 1e+307 gives a steering phase span of inf rad, "
+     "above the ceiling of 1e+300"),
+    ("", "-3060", "SNR -3060.0 dB gives noise variance 3.2e+307, above the ceiling of 1e+300"),
+], ids=["beta-1e305", "beta-1e306", "beta-1e307", "spacing-1e307", "snr-minus-3060"])
+def test_values_past_the_numeric_ceiling_are_rejected_before_any_batch(
+        tmp_path, capsys, monkeypatch, line, snr, problem):
+    path = tmp_path / "huge.cfg"
+    path.write_text(CEILING_CONFIG + line + "\n")
+    monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", _no_batch)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", snr, "--snr-max", snr])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("line, snr", [
+    ("beta = 1.9e297 1.9e297; 1.9e297 1.9e297", "20"),    # power 9.7e299
+    ("spacing = 1e298", "20"),                            # span 9.4e299 rad
+    ("", "-2984.9"),                                      # n0 9.8e299
+], ids=["beta", "spacing", "snr"])
+def test_values_just_under_the_numeric_ceiling_run_clean(tmp_path, capsys, line, snr):
+    # pyproject turns any RuntimeWarning into an error
+    path = tmp_path / "large.cfg"
+    path.write_text(CEILING_CONFIG + line + "\n")
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", snr, "--snr-max", snr])
+    assert rc == 0, capsys.readouterr().err
+    (row,) = read_csv(tmp_path / "x.csv")[1]
+    assert row.frames == 2 and 0 <= row.bit_errors <= row.info_bits
 
 
 def test_bad_scalar_value_names_file_line_and_key(config_file, tmp_path, capsys):

@@ -14,7 +14,7 @@ from bicmb_pc.fec import (
     free_distance,
     interleaver,
     viterbi_decode_batch,
-    _tables,
+    _labels,
 )
 from oracles import conv_encode_reference
 
@@ -29,13 +29,25 @@ def _decode(metrics):
     return viterbi_decode_batch(metrics[None])[0]
 
 
+def reference_trellis_outputs():
+    """out0[s, b], out1[s, b]: the coded pair leaving state s on input b.
+
+    Read off the reference encoder's last pair on each register history,
+    so no table of the package's decoder is used.
+    """
+    reg = (np.arange(2) << (K - 1)) | np.arange(N_STATES)[:, None]     # reg[s, b]
+    history = (reg[..., None] >> np.arange(K)) & 1       # oldest bit first
+    last = np.array([[conv_encode_reference(h)[-2:] for h in row] for row in history])
+    return last[..., 0], last[..., 1]
+
+
 def reference_viterbi(metrics):
     """Per-step decoder on a (frames, states) layout: the bit-identity oracle.
 
     Gathers each state's two predecessors and branch metrics every step and
     keeps the full (steps, frames, states) decision array for the traceback.
     """
-    _, out0, out1, _ = _tables()
+    out0, out1 = reference_trellis_outputs()
     n = N_STATES
     states = np.arange(n)
     pred0 = 2 * (states & (n // 2 - 1))
@@ -109,14 +121,11 @@ def test_block_encoder_matches_reference():
 
 
 def test_trellis_outputs_are_the_encoders_last_pair():
-    """out0/out1 and next_state agree with the encoder on each register history."""
-    nxt, out0, out1, _ = _tables()
-    reg = (np.arange(2) << (K - 1)) | np.arange(N_STATES)[:, None]     # reg[s, b]
-    history = (reg[..., None] >> np.arange(K)) & 1       # oldest bit first
-    coded = conv_encode(history)
-    assert np.array_equal(coded[..., -2], out0)
-    assert np.array_equal(coded[..., -1], out1)
-    assert np.array_equal(reg >> 1, nxt)
+    """Each butterfly label is the reference encoder's last pair on its register history."""
+    out0, out1 = reference_trellis_outputs()
+    pred = 2 * np.arange(N_STATES // 2)
+    for p, h in itertools.product(range(2), range(2)):  # branches 2j + p -> 32h + j
+        assert np.array_equal(_labels()[p, h], 2 * out0[pred + p, h] + out1[pred + p, h])
 
 
 def test_encode_is_linear_over_gf2():
@@ -128,6 +137,17 @@ def test_encode_is_linear_over_gf2():
 
 def test_free_distance_is_ten():
     assert free_distance() == 10
+
+
+def test_free_distance_is_the_lightest_short_terminated_codeword():
+    # every input of up to 12 bits that starts with 1 and ends with the tail
+    weights = []
+    for free in range(6):
+        words = (np.arange(1 << free)[:, None] >> np.arange(free)) & 1
+        inputs = np.hstack([np.ones((words.shape[0], 1), dtype=np.int64), words,
+                            np.zeros((words.shape[0], N_TAIL), dtype=np.int64)])
+        weights.append(conv_encode(inputs).sum(axis=1).min())
+    assert min(weights) == free_distance() == 10
 
 
 def test_viterbi_recovers_clean_frames():

@@ -380,6 +380,22 @@ def test_pool_workers_leave_ctrl_c_to_the_parent():
     assert not multiprocessing.active_children()
 
 
+def test_pool_workers_take_sigterm_by_default():
+    # a handler the parent holds when the workers fork (the CLI's, during a
+    # sweep) must not reach them, or terminating a worker would not end it
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        runner = sim_engine._PoolRunner(SMALL, 2)
+        try:
+            assert runner.pool.submit(signal.getsignal, signal.SIGTERM).result() \
+                == signal.SIG_DFL
+        finally:
+            runner.close()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert not multiprocessing.active_children()
+
+
 def test_worker_counts_above_the_cap_start_no_pool(monkeypatch):
     class NoPool:
         def __init__(self, *args, **kwargs):
