@@ -105,13 +105,18 @@ def zeta_min(params: PerfectCodeParams, constellation: QamConstellation) -> floa
 
 
 def pep_bound(snr_db, kappa, theta, zeta, dim: int, total_tx: int, l_t: int):
-    """High-SNR pairwise error bound 0.5 * (theta zeta d n_tx snr / (4 l_t))^-kappa."""
+    """High-SNR pairwise error bound 0.5 * (theta zeta d n_tx snr / (4 l_t))^-kappa.
+
+    Past floating-point range the bound reads its limits: 0 as the SNR grows
+    and inf (vacuous) as it falls.
+    """
     for name, v in (("kappa", kappa), ("theta", theta), ("zeta", zeta)):
         if not 0 < float(v) < np.inf:          # NaN fails both comparisons
             raise ValueError(f"{name} must be positive and finite, got {v}")
-    snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-    arg = float(theta) * float(zeta) * dim * total_tx * snr / (4.0 * l_t)
-    return 0.5 * arg ** (-float(kappa))
+    with np.errstate(over="ignore", divide="ignore"):
+        snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+        arg = float(theta) * float(zeta) * dim * total_tx * snr / (4.0 * l_t)
+        return 0.5 * arg ** (-float(kappa))
 
 
 def empirical_slope(snr_db, ber) -> float:

@@ -105,7 +105,7 @@ def _worker_count(text: str) -> int:
         _check_workers(workers)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer from 1 to {MAX_WORKERS}, got '{text}'") from None
+            f"expected an integer from 1 to {MAX_WORKERS}, got {text!r}") from None
     return workers
 
 

@@ -54,6 +54,12 @@ _BLOCK_FRAMES = 64          # frames simulated at once; bounds a batch's memory
 _BLOCK_BYTES = 1 << 30
 _BYTES_PER_CODED_BIT = 128
 _MAX_INFO_BITS = _BLOCK_BYTES // (_BLOCK_FRAMES * 2 * _BYTES_PER_CODED_BIT)
+# A block's channel draw peaks at 24-26 bytes per (frame, antenna, path)
+# entry of its steering factors (tracemalloc and max RSS, 256 to 4096
+# antennas per subarray, 8 to 32 paths in all); at 32 bytes, half the block
+# budget admits 262144 entries per frame.
+_BYTES_PER_PATH_ENTRY = 32
+_MAX_PATH_ENTRIES = _BLOCK_BYTES // 2 // (_BLOCK_FRAMES * _BYTES_PER_PATH_ENTRY)
 _DEGENERATE_REL_TOL = 1e-12
 # A pool starts all its workers at once and keeps one batch per worker in
 # flight, so the count is capped; past the CPU count nothing is gained.
@@ -153,9 +159,21 @@ class SystemConfig:
                 f"nominal_info_bits = {self.nominal_info_bits} exceeds the ceiling of "
                 f"{_MAX_INFO_BITS}, which keeps one {_BLOCK_FRAMES}-frame block "
                 f"within {_BLOCK_BYTES >> 20} MiB")
+        paths = sum(p.ravel().tolist())     # as Python ints, which cannot wrap
+        entries = (geom.total_tx + geom.total_rx) * paths
+        if entries > _MAX_PATH_ENTRIES:
+            raise ValueError(
+                f"n_t = {self.n_t}, n_r = {self.n_r} and n_paths ({paths} paths in all) "
+                f"give {entries} steering entries per frame, above the ceiling of "
+                f"{_MAX_PATH_ENTRIES}, which keeps one {_BLOCK_FRAMES}-frame block's "
+                f"channel draw within {_BLOCK_BYTES >> 21} MiB")
         for name in ("batch_frames", "max_frames", "target_bit_errors"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        # a point stops only at a batch boundary, so a batch past the cap would run whole
+        if self.batch_frames > self.max_frames:
+            raise ValueError(f"batch_frames = {self.batch_frames} exceeds "
+                             f"max_frames = {self.max_frames}")
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
 
@@ -327,16 +345,17 @@ class _PoolRunner:
     def close(self):
         """Cancel pending batches and stop the workers without waiting for running ones.
 
-        Workers ignore SIGINT, so after Ctrl-C a waiting shutdown would run
-        every started batch to its end.  Python has no public way to stop a
-        pool's workers before 3.14, so they are taken from pool._processes.
+        Workers ignore SIGINT, so after Ctrl-C a shutdown alone would run
+        every started batch to its end; they are terminated first.  Python
+        has no public way to stop a pool's workers before 3.14, so they are
+        taken from pool._processes.  The shutdown then waits for the
+        executor's manager thread, which sees the dead workers, fails what
+        was pending and joins them: it is the one reaper, so no worker is
+        still listed as a child once close returns.
         """
-        workers = list((self.pool._processes or {}).values())
-        self.pool.shutdown(wait=False, cancel_futures=True)
-        for process in workers:
+        for process in list((self.pool._processes or {}).values()):
             process.terminate()
-        for process in workers:
-            process.join()
+        self.pool.shutdown(cancel_futures=True)
 
 
 def _check_workers(workers: int) -> None:
@@ -430,6 +449,9 @@ def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointRes
 
 
 _CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")
+# the largest |snr_db| whose linear SNR and its inverse are finite floats;
+# noise_variance refuses any SNR past it, so no sweep writes one
+_SNR_DB_LIMIT = 10 * np.log10(np.finfo(float).max)
 
 
 def write_csv(path, results: list[PointResult], cfg_hash: str) -> None:
@@ -476,6 +498,8 @@ def _parse_row(row) -> PointResult:
                       info_bits=int(row["info_bits"]), bit_errors=int(row["bit_errors"]))
     if not np.isfinite(res.snr_db):
         raise ValueError("snr_db must be finite")
+    if abs(res.snr_db) > _SNR_DB_LIMIT:
+        raise ValueError(f"snr_db must be between -{_SNR_DB_LIMIT:.1f} and {_SNR_DB_LIMIT:.1f} dB")
     for name in ("frames", "info_bits", "bit_errors"):
         if getattr(res, name) < 0:
             raise ValueError(f"{name} must be nonnegative")

@@ -149,6 +149,13 @@ def test_pep_bound_slope_is_kappa():
         pep_bound(snr, kappa=-1, theta=0.005, zeta=0.1, dim=2, total_tx=32, l_t=2)
 
 
+def test_pep_bound_reads_its_limits_past_float_range():
+    # the linear SNR or the bound overflows here; pyproject makes any warning an error
+    vals = pep_bound(np.array([3082.0, 1e308, -3060.0, -1e308]), kappa=8.0, theta=0.005,
+                     zeta=0.1, dim=2, total_tx=32, l_t=2)
+    assert vals.tolist() == [0.0, 0.0, np.inf, np.inf]
+
+
 @pytest.mark.parametrize("name", ["kappa", "theta", "zeta"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_pep_bound_rejects_non_finite_inputs(name, bad):

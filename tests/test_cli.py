@@ -560,6 +560,7 @@ def test_analyze_rejects_garbage_csv(config_file, tmp_path, capsys):
 @pytest.mark.parametrize("row,problem", [
     ("nan,4,100,3", "snr_db must be finite"),
     ("inf,4,100,3", "snr_db must be finite"),
+    ("-1e308,4,100,3", "snr_db must be between -3082.5 and 3082.5 dB"),
     ("5.0,-4,100,3", "frames must be nonnegative"),
     ("5.0,4,-100,3", "info_bits must be nonnegative"),
     ("5.0,4,100,-3", "bit_errors must be nonnegative"),
@@ -625,6 +626,27 @@ def test_values_past_the_numeric_ceiling_are_rejected_before_any_batch(
     monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", _no_batch)
     rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
                "--snr-min", snr, "--snr-max", snr])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("config, problem", [
+    (CEILING_CONFIG.replace("batch_frames = 2", f"batch_frames = {10 ** 40}"),
+     f"batch_frames = {10 ** 40} exceeds max_frames = 2"),
+    (CEILING_CONFIG + "n_t = 1048576\nn_r = 1048576\n",
+     "n_t = 1048576, n_r = 1048576 and n_paths (8 paths in all) give 33554432 steering "
+     "entries per frame, above the ceiling of 262144, which keeps one 64-frame block's "
+     "channel draw within 512 MiB"),
+], ids=["batch-past-cap", "antennas-2-20"])
+def test_unbounded_work_is_rejected_before_any_batch(tmp_path, capsys, monkeypatch,
+                                                     config, problem):
+    # neither may reach a batch: one would never end, the other would not fit in memory
+    path = tmp_path / "huge.cfg"
+    path.write_text(config)
+    monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", _no_batch)
+    rc = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x.csv"),
+               "--snr-min", "20", "--snr-max", "20"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: {problem}\n"
     assert not (tmp_path / "x.csv").exists()

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import multiprocessing
+import os
 import signal
 import tracemalloc
 from concurrent.futures import FIRST_COMPLETED, Future
@@ -73,6 +74,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # rank starved: one single-path block cannot carry two streams
         SystemConfig(beta=((1.0, 0.0), (0.0, 0.0)), n_paths=((1, 2), (2, 2)))
+    # a point stops only at a batch boundary, so a batch past the cap is refused
+    for batch, cap in ((3, 2), (10 ** 40, 2)):
+        with pytest.raises(ValueError, match=f"batch_frames = {batch} exceeds max_frames = {cap}"):
+            SystemConfig(batch_frames=batch, max_frames=cap)
 
 
 def test_scalar_n_paths_broadcast():
@@ -396,6 +401,18 @@ def test_pool_workers_take_sigterm_by_default():
     assert not multiprocessing.active_children()
 
 
+def test_closed_pool_leaves_no_child():
+    # close() returns only once every worker is reaped; were a second thread
+    # to race the executor's own reaper, a worker would stay listed now and then
+    for _ in range(50):
+        runner = sim_engine._PoolRunner(SMALL, 2)
+        try:
+            assert runner.pool.submit(os.getpid).result() != os.getpid()
+        finally:
+            runner.close()
+        assert not multiprocessing.active_children()
+
+
 def test_worker_counts_above_the_cap_start_no_pool(monkeypatch):
     class NoPool:
         def __init__(self, *args, **kwargs):
@@ -567,6 +584,20 @@ def test_frame_ceiling_is_checked_at_config_time():
     for bad in (ceiling + 1, 10_000_000_000_000):
         with pytest.raises(ValueError, match=f"nominal_info_bits = {bad} exceeds"):
             SystemConfig(nominal_info_bits=bad)
+
+
+def test_channel_draw_ceiling_is_checked_at_config_time():
+    ceiling = sim_engine._MAX_PATH_ENTRIES
+    # (16384 tx + 16384 rx antennas) x 8 paths sits on the ceiling
+    assert SystemConfig(n_t=8192, n_r=8192).geometry.total_tx * 2 * 8 == ceiling
+    wide = SystemConfig(n_t=64, n_r=64, constellation_order=4)
+    assert (wide.geometry.total_tx + wide.geometry.total_rx) * 8 * 100 < ceiling
+    for n_t, n_r, entries in ((8193, 8192, 262160), (2 ** 20, 2 ** 20, 33554432)):
+        with pytest.raises(ValueError, match=f"n_t = {n_t}, n_r = {n_r} and n_paths "
+                           f"\\(8 paths in all\\) give {entries} steering entries"):
+            SystemConfig(n_t=n_t, n_r=n_r)
+    with pytest.raises(ValueError, match="16777222 paths in all"):
+        SystemConfig(n_paths=((2 ** 24, 2), (2, 2)))
 
 
 def test_pipeline_reuses_its_detector_workspace(monkeypatch):
