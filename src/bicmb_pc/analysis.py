@@ -20,6 +20,20 @@ from .fec import QamConstellation
 from .pstbc import PerfectCodeParams
 
 
+# the largest |snr_db| whose linear SNR and its inverse are finite floats;
+# the simulator's noise variance refuses any SNR past it, so no sweep writes one
+_SNR_DB_LIMIT = 10 * np.log10(np.finfo(float).max)
+
+
+def check_snr_db(snr_db) -> None:
+    """Refuse SNRs in dB that are not finite or whose linear value leaves float range."""
+    s = np.asarray(snr_db, dtype=float)
+    if not np.isfinite(s).all():
+        raise ValueError("snr_db must be finite")
+    if (np.abs(s) > _SNR_DB_LIMIT).any():
+        raise ValueError(f"snr_db must be between -{_SNR_DB_LIMIT:.1f} and {_SNR_DB_LIMIT:.1f} dB")
+
+
 def _exactable(arr) -> bool:
     return all(isinstance(v, (Integral, Fraction)) for v in arr.ravel())
 
@@ -125,9 +139,9 @@ def empirical_slope(snr_db, ber) -> float:
     b = np.asarray(ber, dtype=float)
     if s.shape != b.shape or s.ndim != 1:
         raise ValueError("snr_db and ber must be matching 1-d arrays")
-    for name, v in (("snr_db", s), ("ber", b)):
-        if not np.isfinite(v).all():
-            raise ValueError(f"{name} must be finite")
+    check_snr_db(s)         # past its bound, polyfit's sums overflow
+    if not np.isfinite(b).all():
+        raise ValueError("ber must be finite")
     keep = b > 0
     if np.unique(s[keep]).size < 2:
         raise ValueError("need positive BER at two or more distinct SNRs")

@@ -108,7 +108,11 @@ def _check_paths(n_paths, geom: ArrayGeometry) -> np.ndarray:
                          f"got shape {p.shape}")
     if not np.issubdtype(p.dtype, np.integer) or (p < 1).any():
         raise ValueError("path counts must be positive integers")
-    return p.astype(int)
+    # numpy holds counts from 2**63 as uint64, which an int64 grid would wrap
+    limit = np.iinfo(np.int64).max
+    if (p > limit).any():
+        raise ValueError(f"n_paths entries must be at most {limit}")
+    return p.astype(np.int64)
 
 
 def _place(resp: np.ndarray, block: np.ndarray, total: int) -> np.ndarray:

@@ -7,8 +7,10 @@ Grids (beta, n_paths) use semicolon-separated rows, e.g.
     n_paths = 6 2; 3 1
 
 Exit codes: 0 success, 1 failed checks, bad inputs or a sweep worker that
-died, 2 usage errors, 130 interrupted (Ctrl-C), 143 terminated (SIGTERM).
-A SIGTERM unwinds a run as Ctrl-C does, so a sweep's pool is shut down.
+died, 2 usage errors, 130 interrupted (Ctrl-C), 141 stdout closed by its
+reader (as SIGPIPE would), 143 terminated (SIGTERM).  A SIGTERM unwinds a
+run as Ctrl-C does, so a sweep's pool is shut down.  A sweep writes its CSV
+before it prints, so a closed stdout does not lose it.
 """
 from __future__ import annotations
 
@@ -23,10 +25,8 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import empirical_slope, pep_bound, welch_satterthwaite, zeta_min
-from .detector import MetricEngine
-from .fec import (N_TAIL, QamConstellation, conv_encode, free_distance, interleaver,
-                  viterbi_decode_batch)
-from .pstbc import SUPPORTED_DIMS, build_params, encode_batch, group_decompose
+from .fec import QamConstellation, free_distance
+from .pstbc import SUPPORTED_DIMS, build_params
 from .sim_engine import (
     MAX_WORKERS,
     SystemConfig,
@@ -156,8 +156,7 @@ def _cmd_analyze(args) -> int:
     else:
         beta = np.asarray(config.beta, dtype=float)
     kappa, theta = welch_satterthwaite(beta, np.asarray(config.n_paths))
-    params = build_params(config.dim)
-    zeta = zeta_min(params, QamConstellation(config.constellation_order))
+    zeta = zeta_min(build_params(config.dim), QamConstellation(config.constellation_order))
     print(f"kappa (diversity order): {kappa}")
     print(f"theta (gamma scale):     {theta}")
     print(f"zeta_min:                {zeta:.6g}")
@@ -179,7 +178,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _selftest_checks():
+def _cmd_selftest(args) -> int:
     failures = []
 
     def check(name, ok):
@@ -187,62 +186,25 @@ def _selftest_checks():
         if not ok:
             failures.append(name)
 
-    rng = np.random.default_rng(0)
-    params_by_dim = {}
+    built = []
     for d in SUPPORTED_DIMS:
         try:    # build_params asserts the generator, shift and layout identities
-            params_by_dim[d] = build_params(d)
+            build_params(d)
         except AssertionError as exc:
             check(f"code parameters (d={d}): {exc}", False)
         else:
             check(f"code parameters (d={d})", True)
-    for d, params in params_by_dim.items():
-        x = rng.standard_normal((20, d, d)) + 1j * rng.standard_normal((20, d, d))
-        z = encode_batch(params, x)
-        worst = np.abs(np.linalg.norm(z, axis=(1, 2))
-                       - np.linalg.norm(x, axis=(1, 2))).max()
-        check(f"codeword energy preserved (d={d})", worst < 1e-10)
+            built.append(d)
 
     check("free distance = 10", free_distance() == 10)
 
-    perm, inverse = interleaver(256, seed=7)
-    bits = rng.integers(0, 2, 256).astype(np.uint8)
-    check("interleaver round trip", np.array_equal(bits[perm][inverse], bits))
-
-    info = rng.integers(0, 2, 58).astype(np.uint8)
-    coded = conv_encode(np.concatenate([info, np.zeros(N_TAIL, dtype=np.uint8)]))
-    metrics = np.zeros((1, coded.size, 2))
-    metrics[0, np.arange(coded.size), 1 - coded] = 1.0
-    check("viterbi clean loopback",
-          np.array_equal(viterbi_decode_batch(metrics)[0], info))
-
-    c = QamConstellation(16)
-    check("constellation unit energy",
-          abs(np.mean(np.abs(c.points) ** 2) - 1.0) < 1e-12)
-
-    if 2 not in params_by_dim:      # the link checks below run the D=2 code
-        return failures
-    params = params_by_dim[2]
-    lam = np.array([2.0, 1.0])
-    labels = rng.integers(0, 16, (2, 2))
-    x = c.points[labels]
-    z = encode_batch(params, x)
-    groups = group_decompose(lam[:, None] * z, params)
-    gamma = MetricEngine(params, c).bit_metrics(lam[None], groups[None])[0]
-    hit = all(gamma[v, m, j, c.label_bits[labels[v, m], j]] < 1e-12
-              for v in range(2) for m in range(2) for j in range(4))
-    umin = gamma[:, 0, 0, :].min(axis=-1)
-    check("noiseless group metrics vanish", hit and np.allclose(umin, 0, atol=1e-12))
-
-    cfg = SystemConfig(nominal_info_bits=128, batch_frames=2, max_frames=2,
-                       target_bit_errors=1)
-    res = run_ber_point(cfg, snr_db=0.0, noiseless=True)
-    check("noiseless link loopback", res.bit_errors == 0)
-    return failures
-
-
-def _cmd_selftest(args) -> int:
-    failures = _selftest_checks()
+    # each code that builds, through the encoder, the detector and the decoder
+    for d in built:
+        for order in (4, 16):
+            cfg = SystemConfig(dim=d, constellation_order=order, nominal_info_bits=128,
+                               batch_frames=2, max_frames=2, target_bit_errors=1)
+            check(f"noiseless link loopback (d={d}, {order}-QAM)",
+                  run_ber_point(cfg, 0.0, noiseless=True).bit_errors == 0)
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)
         return 1
@@ -296,7 +258,13 @@ def main(argv=None) -> int:
     on_main = threading.current_thread() is threading.main_thread()
     previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()          # so a closed stdout fails here, not at exit
+        return status
+    except BrokenPipeError:         # the reader closed stdout early, as `| head` does
+        # what is left in the buffer goes to /dev/null at exit, with no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, MemoryError, BrokenExecutor) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

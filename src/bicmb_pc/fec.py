@@ -35,8 +35,7 @@ bits by the first and decoding by the second.
 
 QamConstellation is the one owner of the Gray labeling: it builds the label
 bits, per-axis level indices, axis levels, bit-to-axis and per-bit level
-subset tables once, and the detector, zeta_min and the self checks read
-those tables.
+subset tables once, and the detector and zeta_min read those tables.
 """
 from __future__ import annotations
 

@@ -38,6 +38,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .analysis import check_snr_db
 from .channel_model import (NUMERIC_CEILING, ArrayGeometry, _check_beta, _check_paths,
                             draw_paths, path_core)
 from .detector import MetricEngine
@@ -149,7 +150,7 @@ class SystemConfig:
         if power > NUMERIC_CEILING:
             raise ValueError(f"beta gives a mean channel power of {power:.3g}, "
                              f"above the ceiling of {NUMERIC_CEILING:g}")
-        if self.dim > int(p[b > 0].sum()):
+        if self.dim > sum(p[b > 0].tolist()):     # as Python ints, which cannot wrap
             raise ValueError("channel rank cannot support this many streams")
         # n_info also rejects unsupported constellation orders (fec.bits_per_symbol)
         if self.n_info < 1:
@@ -449,9 +450,6 @@ def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointRes
 
 
 _CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")
-# the largest |snr_db| whose linear SNR and its inverse are finite floats;
-# noise_variance refuses any SNR past it, so no sweep writes one
-_SNR_DB_LIMIT = 10 * np.log10(np.finfo(float).max)
 
 
 def write_csv(path, results: list[PointResult], cfg_hash: str) -> None:
@@ -496,10 +494,7 @@ def read_csv(path):
 def _parse_row(row) -> PointResult:
     res = PointResult(snr_db=float(row["snr_db"]), frames=int(row["frames"]),
                       info_bits=int(row["info_bits"]), bit_errors=int(row["bit_errors"]))
-    if not np.isfinite(res.snr_db):
-        raise ValueError("snr_db must be finite")
-    if abs(res.snr_db) > _SNR_DB_LIMIT:
-        raise ValueError(f"snr_db must be between -{_SNR_DB_LIMIT:.1f} and {_SNR_DB_LIMIT:.1f} dB")
+    check_snr_db(res.snr_db)
     for name in ("frames", "info_bits", "bit_errors"):
         if getattr(res, name) < 0:
             raise ValueError(f"{name} must be nonnegative")

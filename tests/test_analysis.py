@@ -188,6 +188,13 @@ def test_empirical_slope_rejects_non_finite_inputs(name, bad):
         empirical_slope(**args)
 
 
+def test_empirical_slope_rejects_snrs_past_float_range():
+    # np.polyfit's sums overflowed here; the bound is the one read_csv applies
+    with pytest.raises(ValueError, match="snr_db must be between -3082.5 and 3082.5 dB"):
+        empirical_slope([1e200, 2e200], [0.1, 0.01])
+    assert empirical_slope([-3082.5, 3082.5], [0.1, 0.01]) == pytest.approx(1 / 616.5)
+
+
 def test_empirical_slope_needs_two_distinct_snrs():
     with pytest.raises(ValueError, match="distinct"):
         empirical_slope(np.array([10.0, 10.0, 20.0]), np.array([1e-2, 2e-2, 0.0]))

@@ -1,6 +1,5 @@
 import contextlib
 import ctypes
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -257,23 +256,31 @@ def test_analyze_refuses_hash_mismatch(config_file, tmp_path, capsys):
 
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
-    assert "all checks passed" in capsys.readouterr().out
+    assert capsys.readouterr().out.splitlines() == [
+        *(f"ok   code parameters (d={d})" for d in (2, 3, 4, 6)),
+        "ok   free distance = 10",
+        *(f"ok   noiseless link loopback (d={d}, {k}-QAM)" for d in (2, 3, 4, 6) for k in (4, 16)),
+        "all checks passed",
+    ]
 
 
-def test_selftest_corruption_hook_fails(monkeypatch, capsys):
-    # negative control: a perturbed D=2 generator must trip the checks
-    def perturbed(d):
-        params = build_params(d)
-        if d != 2:
-            return params
-        g = params.generator.copy()
-        g[0, 0] *= 1.001
-        return dataclasses.replace(params, generator=g)
+def test_selftest_catches_a_broken_d3_link(monkeypatch, capsys):
+    # the D=3 receiver reads its layers with the wrap weights left on
+    decompose = sim_engine.group_decompose
 
-    monkeypatch.setattr(cli, "build_params", perturbed)
+    def unweighted(y, params):
+        if params.dim != 3:
+            return decompose(y, params)
+        return y[..., np.arange(3), params.cols]
+
+    monkeypatch.setattr(sim_engine, "group_decompose", unweighted)
     assert main(["selftest"]) == 1
-    out = capsys.readouterr().out
-    assert "FAIL codeword energy preserved (d=2)" in out
+    captured = capsys.readouterr()
+    assert [line for line in captured.out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL noiseless link loopback (d=3, 4-QAM)",
+        "FAIL noiseless link loopback (d=3, 16-QAM)",
+    ]
+    assert captured.err == "2 check(s) failed\n"
 
 
 def test_selftest_reports_a_failed_code_build(monkeypatch, capsys):
@@ -446,6 +453,13 @@ def _live_children(pid: int) -> list[int]:
     return kids
 
 
+def _child_env(**extra) -> dict:
+    """os.environ for a `python -m bicmb_pc.cli` child that imports this package."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 @contextlib.contextmanager
 def _subreaper():
     """While active, orphaned descendants are re-parented to this process, which can reap them."""
@@ -464,15 +478,13 @@ def test_sigterm_stops_a_pooled_sweep(tmp_path):
     # a D=3 16-QAM sweep that would run for minutes on two workers
     cfg = tmp_path / "long.cfg"
     cfg.write_text("dim = 3\nmax_frames = 20000\ntarget_bit_errors = 1000000000\n")
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     workers = []
     with _subreaper(), subprocess.Popen(
             [sys.executable, "-m", "bicmb_pc.cli", "sweep", "--config", str(cfg),
              "--out", str(tmp_path / "x.csv"), "--snr-min", "24", "--snr-max", "27",
              "--workers", "2"],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as proc:
+            env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True) as proc:
         try:
             deadline = time.monotonic() + 60
             while len(workers) < 2 and proc.poll() is None and time.monotonic() < deadline:
@@ -494,6 +506,26 @@ def test_sigterm_stops_a_pooled_sweep(tmp_path):
                     os.kill(pid, signal.SIGKILL)
                 with contextlib.suppress(ChildProcessError):
                     os.waitpid(pid, 0)
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("command", ["selftest", "sweep"])
+def test_closed_stdout_exits_141_quietly(config_file, tmp_path, command, unbuffered):
+    # the reader end is closed before the child starts, as `| true` may do
+    argv = {"selftest": ["selftest"],
+            "sweep": ["sweep", "--config", str(config_file), "--out", str(tmp_path / "x.csv"),
+                      "--snr-min", "4", "--snr-max", "5"]}[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _child_env(PYTHONUNBUFFERED=unbuffered)     # empty is unset to Python
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bicmb_pc.cli", *argv], env=env,
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")
+    if command == "sweep":      # the CSV is written before anything is printed
+        assert [r.snr_db for r in read_csv(tmp_path / "x.csv")[1]] == [4.0, 5.0]
 
 
 def test_sigterm_handler_is_restored_after_main(config_file, tmp_path):
@@ -638,10 +670,19 @@ def test_values_past_the_numeric_ceiling_are_rejected_before_any_batch(
      "n_t = 1048576, n_r = 1048576 and n_paths (8 paths in all) give 33554432 steering "
      "entries per frame, above the ceiling of 262144, which keeps one 64-frame block's "
      "channel draw within 512 MiB"),
-], ids=["batch-past-cap", "antennas-2-20"])
+    # numpy holds 2**63 + 5 as uint64, which an int64 grid wrapped to a negative count
+    (CEILING_CONFIG + "n_paths = {0} {0}; {0} {0}\n".format(2 ** 63 + 5),
+     f"n_paths entries must be at most {2 ** 63 - 1}"),
+    # four blocks of 2**62 paths summed to 0 in int64, which read as too few for the streams
+    (CEILING_CONFIG + "n_paths = {0} {0}; {0} {0}\n".format(2 ** 62),
+     f"n_t = 16, n_r = 8 and n_paths ({2 ** 64} paths in all) give {48 * 2 ** 64} steering "
+     "entries per frame, above the ceiling of 262144, which keeps one 64-frame block's "
+     "channel draw within 512 MiB"),
+], ids=["batch-past-cap", "antennas-2-20", "paths-2-63-plus-5", "paths-2-62"])
 def test_unbounded_work_is_rejected_before_any_batch(tmp_path, capsys, monkeypatch,
                                                      config, problem):
-    # neither may reach a batch: one would never end, the other would not fit in memory
+    # none may reach a batch: a batch past the cap would never end, 2**20 antennas would
+    # not fit in memory, and a wrapped path count fails inside the channel draw
     path = tmp_path / "huge.cfg"
     path.write_text(config)
     monkeypatch.setattr(sim_engine._FramePipeline, "run_batch", _no_batch)

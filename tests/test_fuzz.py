@@ -2,8 +2,9 @@
 
 Each case mutates a base config, the base sweep's CSV or the sweep flags
 once, and runs `sweep` or `analyze` through cli.main in this process.  The
-corpus is enumerated whole (every line or flag with every corpus value), so
-a run needs no random seed and always covers the same cases.  The contract:
+corpus is enumerated whole (every line or flag with every corpus value, and
+every grid with each corpus value in all its cells), so a run needs no
+random seed and always covers the same cases.  The contract:
 
 - the exit code is 0, 1 or 2, and nothing else leaves main: no traceback and
   no RuntimeWarning (pyproject turns those into errors);
@@ -32,8 +33,9 @@ BASE_CONFIG = [
 # even when max_frames is mutated
 BASE_FLAGS = {"--snr-min": "-10", "--snr-max": "-5", "--snr-step": "5", "--workers": "1"}
 # "\udcff" is how Python holds an undecodable byte (0xff) of a file or argv
+# 2**63 + 5 is the first count numpy holds as uint64 rather than int64
 CORPUS = ("nan", "inf", "-0", "1e308", "1e-320", "1" + "0" * 39, "2.5", "", "; ;",
-          "\udcff", str(2 ** 24))
+          "\udcff", str(2 ** 24), str(2 ** 63 + 5))
 # SNRs whose noise variance passes the ceiling, or whose 10 ** (snr / 10) underflows
 SNR_CORPUS = CORPUS + ("-3060", "-1e308", "-inf")
 NON_ASCII_DIGITS = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
@@ -46,6 +48,11 @@ def _replace_first(value: str, item: str) -> str:
     return f"{item} {rest}" if rest else item
 
 
+def _replace_all(value: str, item: str) -> str:
+    """grid value with every cell set to item."""
+    return "; ".join(" ".join(item for _ in row.split()) for row in value.split(";"))
+
+
 def config_mutations():
     lines = BASE_CONFIG
     yield "swap the first and last lines", [lines[-1], *lines[1:-1], lines[0]]
@@ -53,7 +60,8 @@ def config_mutations():
         yield f"delete '{line}'", lines[:i] + lines[i + 1:]
         yield f"repeat '{line}'", lines[:i + 1] + lines[i:]
         key, value = line.split(" = ")
-        for new in (*(_replace_first(value, item) for item in CORPUS),
+        whole_grids = (_replace_all(value, item) for item in CORPUS) if ";" in value else ()
+        for new in (*(_replace_first(value, item) for item in CORPUS), *whole_grids,
                     value.translate(NON_ASCII_DIGITS)):
             yield f"set {key} = {new!r}", [*lines[:i], f"{key} = {new}", *lines[i + 1:]]
 
