@@ -3,8 +3,9 @@
 The channel power Theta = sum_ij beta_ij ||H_ij||_F^2 is a weighted sum of
 per-block Gamma variables; matching its first two moments gives the
 Gamma(kappa, theta) surrogate whose shape kappa is the diversity order.
-When beta and the path counts are integers or Fractions the moment match
-is carried out in exact rational arithmetic.  zeta_min, the smallest
+The moment match is always carried out in exact rational arithmetic, each
+beta read as the decimal it prints as, so no beta a ChannelModel accepts
+overflows or underflows it.  zeta_min, the smallest
 per-row distance of the rotated code lattice, is computed exactly for
 every (D, K); with kappa and theta it sets the high-SNR pairwise error
 bound that `bicmb-pc analyze` prints next to each measured BER point.
@@ -12,10 +13,10 @@ bound that `bicmb-pc analyze` prints next to each measured BER point.
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Integral
 
 import numpy as np
 
+from .channel_model import ChannelModel
 from .fec import QamConstellation
 from .pstbc import PerfectCodeParams
 
@@ -34,37 +35,18 @@ def check_snr_db(snr_db) -> None:
         raise ValueError(f"snr_db must be between -{_SNR_DB_LIMIT:.1f} and {_SNR_DB_LIMIT:.1f} dB")
 
 
-def _exactable(arr) -> bool:
-    return all(isinstance(v, (Integral, Fraction)) for v in arr.ravel())
+def welch_satterthwaite(channel: ChannelModel):
+    """Moment-matched Gamma shape and scale (kappa, theta) of the channel power.
 
-
-def welch_satterthwaite(beta, n_paths):
-    """Moment-matched Gamma shape and scale for the channel power.
-
-    beta: (l_r, l_t) grid of large-scale gains.  n_paths: matching grid of
-    per-block path counts.  Returns (kappa, theta); exact Fractions when
-    every input is an integer or Fraction, floats otherwise.
+    Both are exact Fractions: each beta entry b is read as Fraction(str(b)),
+    so 0.01 is 1/100.  The channel model has checked beta and the path
+    counts, and beta has a positive sum, so neither moment is zero.
     """
-    b = np.asarray(beta, dtype=object)
-    if b.ndim != 2:
-        raise ValueError("beta must be a 2-d grid")
-    paths = np.asarray(n_paths, dtype=object)
-    if paths.shape != b.shape:
-        raise ValueError("n_paths grid must match beta shape")
-    for p in paths.ravel():
-        if not (isinstance(p, Integral) and p >= 1):
-            raise ValueError("path counts must be positive integers")
-    if any(v < 0 for v in b.ravel()):
-        raise ValueError("beta entries must be nonnegative")
-    exact = _exactable(b)
-    conv = Fraction if exact else float
-    total = sum(conv(v) for v in b.ravel())
-    var = sum(conv(v) ** 2 / int(p) for v, p in zip(b.ravel(), paths.ravel()))
-    if total <= 0 or var <= 0:
-        raise ValueError("beta must contain positive entries")
-    kappa = total * total / var
-    theta = var / total
-    return kappa, theta
+    beta = [Fraction(str(b)) for row in channel.beta for b in row]
+    paths = [p for row in channel.n_paths for p in row]
+    total = sum(beta)
+    var = sum(b * b / p for b, p in zip(beta, paths))
+    return total * total / var, var / total
 
 
 def _sum_set(terms) -> np.ndarray:
@@ -122,10 +104,10 @@ def pep_bound(snr_db, kappa, theta, zeta, dim: int, total_tx: int, l_t: int):
     """High-SNR pairwise error bound 0.5 * (theta zeta d n_tx snr / (4 l_t))^-kappa.
 
     Past floating-point range the bound reads its limits: 0 as the SNR grows
-    and inf (vacuous) as it falls.
+    and inf (vacuous) as it falls, or as a positive theta rounds to 0.0.
     """
     for name, v in (("kappa", kappa), ("theta", theta), ("zeta", zeta)):
-        if not 0 < float(v) < np.inf:          # NaN fails both comparisons
+        if not 0 < v < np.inf:      # on the value itself; NaN fails both comparisons
             raise ValueError(f"{name} must be positive and finite, got {v}")
     with np.errstate(over="ignore", divide="ignore"):
         snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)

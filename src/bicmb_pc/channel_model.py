@@ -5,6 +5,12 @@ multipath block H_ij built from n_paths planar-wave components with
 uniform angles and CN(0,1) gains, scaled so E||H_ij||_F^2 = n_t * n_r.
 Large-scale gains beta[i, j] weight the blocks of the stacked channel.
 
+A ChannelModel holds the geometry, beta and the path-count grid, and is
+the one place that checks them: the antenna counts and the steering span,
+beta's shape, finiteness and sign, each path count, and the mean channel
+power against NUMERIC_CEILING.  Everything that draws or analyzes a
+channel takes a ChannelModel and checks none of this again.
+
 A channel is kept as its path factors, H = a_r diag(gain) a_t^H with one
 block-placed steering column per path, so rank(H) <= P = total paths.
 path_core reduces those factors to a P x P core with the same nonzero
@@ -26,13 +32,22 @@ NUMERIC_CEILING = 1e300
 
 
 @dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear subarrays, antenna spacing in wavelengths."""
+class ChannelModel:
+    """Subarray geometry, large-scale gains and path counts of the clustered channel.
+
+    n_t, n_r antennas per transmit and receive subarray, l_t, l_r subarrays,
+    spacing in wavelengths; beta an (l_r, l_t) grid of block gains, n_paths
+    a scalar or an (l_r, l_t) grid of per-block path counts.  Everything the
+    channel alone decides is checked once, here, and beta and n_paths are
+    kept as (l_r, l_t) nested tuples, so the model is hashable.
+    """
 
     n_t: int
     n_r: int
     l_t: int
     l_r: int
+    beta: tuple
+    n_paths: tuple
     spacing: float = 0.5
 
     def __post_init__(self):
@@ -46,6 +61,33 @@ class ArrayGeometry:
         if span > NUMERIC_CEILING:
             raise ValueError(f"spacing = {self.spacing:g} gives a steering phase span of "
                              f"{span:.3g} rad, above the ceiling of {NUMERIC_CEILING:g}")
+        shape = (self.l_r, self.l_t)
+        b = np.asarray(self.beta, dtype=float)
+        if b.shape != shape:
+            raise ValueError(f"beta must have shape {shape}, got shape {b.shape}")
+        if not np.isfinite(b).all():
+            raise ValueError("beta entries must be finite")
+        if (b < 0).any():
+            raise ValueError("beta entries must be nonnegative")
+        p = np.asarray(self.n_paths)
+        if p.ndim == 0:
+            p = np.full(shape, p)
+        if p.shape != shape:
+            raise ValueError(f"n_paths must be scalar or shaped {shape}, got shape {p.shape}")
+        if not np.issubdtype(p.dtype, np.integer) or (p < 1).any():
+            raise ValueError("path counts must be positive integers")
+        # numpy holds counts from 2**63 as uint64, which an int64 grid would wrap
+        limit = np.iinfo(np.int64).max
+        if (p > limit).any():
+            raise ValueError(f"n_paths entries must be at most {limit}")
+        power = sum(b.ravel().tolist()) * self.n_t * self.n_r     # as Python floats, inf on overflow
+        if power == 0:
+            raise ValueError("beta must have a positive sum")
+        if power > NUMERIC_CEILING:
+            raise ValueError(f"beta gives a mean channel power of {power:.3g}, "
+                             f"above the ceiling of {NUMERIC_CEILING:g}")
+        object.__setattr__(self, "beta", _grid(self.beta))
+        object.__setattr__(self, "n_paths", _grid(p.astype(np.int64)))
 
     @property
     def total_tx(self) -> int:
@@ -54,6 +96,11 @@ class ArrayGeometry:
     @property
     def total_rx(self) -> int:
         return self.n_r * self.l_r
+
+
+def _grid(values) -> tuple:
+    """Nested-tuple copy of a checked (l_r, l_t) grid, entries as Python numbers."""
+    return tuple(map(tuple, np.asarray(values).tolist()))
 
 
 def array_response(n: int, angle, spacing: float = 0.5) -> np.ndarray:
@@ -87,34 +134,6 @@ def _draw_frame(rng: np.random.Generator, counts: np.ndarray):
     return tuple(map(np.concatenate, zip(*(_draw_block(rng, n) for n in counts))))
 
 
-def _check_beta(beta, geom: ArrayGeometry) -> np.ndarray:
-    b = np.asarray(beta, dtype=float)
-    if b.shape != (geom.l_r, geom.l_t):
-        raise ValueError(f"beta must have shape ({geom.l_r}, {geom.l_t}), got shape {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("beta entries must be finite")
-    if (b < 0).any():
-        raise ValueError("beta entries must be nonnegative")
-    return b
-
-
-def _check_paths(n_paths, geom: ArrayGeometry) -> np.ndarray:
-    """Scalar or per-block grid of path counts, as an int grid."""
-    p = np.asarray(n_paths)
-    if p.ndim == 0:
-        p = np.full((geom.l_r, geom.l_t), p)
-    if p.shape != (geom.l_r, geom.l_t):
-        raise ValueError(f"n_paths must be scalar or shaped ({geom.l_r}, {geom.l_t}), "
-                         f"got shape {p.shape}")
-    if not np.issubdtype(p.dtype, np.integer) or (p < 1).any():
-        raise ValueError("path counts must be positive integers")
-    # numpy holds counts from 2**63 as uint64, which an int64 grid would wrap
-    limit = np.iinfo(np.int64).max
-    if (p > limit).any():
-        raise ValueError(f"n_paths entries must be at most {limit}")
-    return p.astype(np.int64)
-
-
 def _place(resp: np.ndarray, block: np.ndarray, total: int) -> np.ndarray:
     """(..., total, P) matrices with resp[..., p, :] in rows block[p]*n .. + n of column p."""
     *lead, n_p, n = resp.shape
@@ -123,7 +142,7 @@ def _place(resp: np.ndarray, block: np.ndarray, total: int) -> np.ndarray:
     return out
 
 
-def draw_paths(rngs, geom: ArrayGeometry, beta, n_paths):
+def draw_paths(rngs, channel: ChannelModel):
     """Stacked path factors (a_r, gain, a_t), one channel per generator in rngs.
 
     Channel f is H_f = a_r[f] diag(gain[f]) a_t[f]^H, with a_r (F, total_rx, P)
@@ -131,19 +150,19 @@ def draw_paths(rngs, geom: ArrayGeometry, beta, n_paths):
     their subarray's rows and gain[f, p] = sqrt(beta_ij n_t n_r / L_ij)
     alpha_p.  Each generator draws its own channel's blocks in row-major
     order, AoA, AoD and gain per block; the steering vectors of all
-    channels are then built in one call per side.  n_paths may be a scalar
-    or an (l_r, l_t) grid of per-block counts.
+    channels are then built in one call per side.  The channel model was
+    checked when it was built, so nothing is checked again here.
     """
-    b = _check_beta(beta, geom).ravel()
-    p = _check_paths(n_paths, geom).ravel()
+    b = np.asarray(channel.beta, dtype=float).ravel()
+    p = np.asarray(channel.n_paths).ravel()
     draws = [_draw_frame(rng, p) for rng in rngs]
     if not draws:
         raise ValueError("rngs must hold at least one generator")
     aoa, aod, alpha = map(np.stack, zip(*draws))        # (F, P) each
-    rows, cols = np.divmod(np.repeat(np.arange(p.size), p), geom.l_t)
-    gain = np.sqrt(np.repeat(b * (geom.n_t * geom.n_r) / p, p)) * alpha
-    a_r = _place(array_response(geom.n_r, aoa, geom.spacing), rows, geom.total_rx)
-    a_t = _place(array_response(geom.n_t, aod, geom.spacing), cols, geom.total_tx)
+    rows, cols = np.divmod(np.repeat(np.arange(p.size), p), channel.l_t)
+    gain = np.sqrt(np.repeat(b * (channel.n_t * channel.n_r) / p, p)) * alpha
+    a_r = _place(array_response(channel.n_r, aoa, channel.spacing), rows, channel.total_rx)
+    a_t = _place(array_response(channel.n_t, aod, channel.spacing), cols, channel.total_tx)
     return a_r, gain, a_t
 
 

@@ -20,7 +20,6 @@ import signal
 import sys
 import threading
 from concurrent.futures import BrokenExecutor
-from fractions import Fraction
 
 import numpy as np
 
@@ -151,11 +150,7 @@ def _cmd_analyze(args) -> int:
               file=sys.stderr)
         print("pass --force to analyze anyway", file=sys.stderr)
         return 1
-    if args.exact_ratios:
-        beta = [[Fraction(str(b)) for b in row] for row in config.beta]
-    else:
-        beta = np.asarray(config.beta, dtype=float)
-    kappa, theta = welch_satterthwaite(beta, np.asarray(config.n_paths))
+    kappa, theta = welch_satterthwaite(config.channel)
     zeta = zeta_min(build_params(config.dim), QamConstellation(config.constellation_order))
     print(f"kappa (diversity order): {kappa}")
     print(f"theta (gamma scale):     {theta}")
@@ -163,7 +158,7 @@ def _cmd_analyze(args) -> int:
     snr = np.array([r.snr_db for r in results])
     ber = np.array([r.ber for r in results])
     bound = pep_bound(snr, kappa, theta, zeta, config.dim,
-                      config.geometry.total_tx, config.l_t)
+                      config.channel.total_tx, config.l_t)
     for r, pep in zip(results, bound):
         # a bound of 0.5 or more says nothing about a probability of error
         mark = "  (vacuous)" if pep >= 0.5 else ""
@@ -235,8 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--config", required=True)
     analyze.add_argument("--force", action="store_true",
                          help="analyze even if the config hash mismatches")
-    analyze.add_argument("--exact-ratios", action="store_true",
-                         help="treat beta as integer ratios for exact kappa")
     analyze.set_defaults(func=_cmd_analyze)
 
     selftest = sub.add_parser("selftest", help="fast invariant checks")

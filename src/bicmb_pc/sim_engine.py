@@ -39,8 +39,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .analysis import check_snr_db
-from .channel_model import (NUMERIC_CEILING, ArrayGeometry, _check_beta, _check_paths,
-                            draw_paths, path_core)
+from .channel_model import NUMERIC_CEILING, ChannelModel, draw_paths, path_core
 from .detector import MetricEngine
 from .fec import (N_TAIL, QamConstellation, bits_per_symbol, conv_encode, interleaver,
                   viterbi_decode_batch)
@@ -110,11 +109,6 @@ def cn_noise(rngs, shape: tuple, n0: float) -> np.ndarray:
     return noise
 
 
-def _grid(values) -> tuple:
-    """Hashable nested-tuple copy of a validated (l_r, l_t) grid."""
-    return tuple(map(tuple, np.asarray(values).tolist()))
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Full description of one simulated link; hashable and serializable."""
@@ -137,20 +131,13 @@ class SystemConfig:
     def __post_init__(self):
         if self.dim not in SUPPORTED_DIMS:
             raise ValueError(f"dim must be one of {SUPPORTED_DIMS}")
-        geom = self.geometry  # validates antenna counts and spacing
-        if self.dim > min(geom.total_tx, geom.total_rx):
+        channel = self.channel      # checks everything the channel alone decides
+        object.__setattr__(self, "beta", channel.beta)
+        object.__setattr__(self, "n_paths", channel.n_paths)
+        if self.dim > min(channel.total_tx, channel.total_rx):
             raise ValueError("dim exceeds the antenna dimensions")
-        b = _check_beta(self.beta, geom)
-        p = _check_paths(self.n_paths, geom)
-        object.__setattr__(self, "beta", _grid(self.beta))
-        object.__setattr__(self, "n_paths", _grid(p))
-        power = sum(b.ravel().tolist()) * geom.n_t * geom.n_r     # as Python floats, inf on overflow
-        if power == 0:
-            raise ValueError("beta must have a positive sum")
-        if power > NUMERIC_CEILING:
-            raise ValueError(f"beta gives a mean channel power of {power:.3g}, "
-                             f"above the ceiling of {NUMERIC_CEILING:g}")
-        if self.dim > sum(p[b > 0].tolist()):     # as Python ints, which cannot wrap
+        blocks = [(b, p) for bs, ps in zip(channel.beta, channel.n_paths) for b, p in zip(bs, ps)]
+        if self.dim > sum(p for b, p in blocks if b > 0):   # Python ints, which cannot wrap
             raise ValueError("channel rank cannot support this many streams")
         # n_info also rejects unsupported constellation orders (fec.bits_per_symbol)
         if self.n_info < 1:
@@ -160,8 +147,8 @@ class SystemConfig:
                 f"nominal_info_bits = {self.nominal_info_bits} exceeds the ceiling of "
                 f"{_MAX_INFO_BITS}, which keeps one {_BLOCK_FRAMES}-frame block "
                 f"within {_BLOCK_BYTES >> 20} MiB")
-        paths = sum(p.ravel().tolist())     # as Python ints, which cannot wrap
-        entries = (geom.total_tx + geom.total_rx) * paths
+        paths = sum(p for _, p in blocks)
+        entries = (channel.total_tx + channel.total_rx) * paths
         if entries > _MAX_PATH_ENTRIES:
             raise ValueError(
                 f"n_t = {self.n_t}, n_r = {self.n_r} and n_paths ({paths} paths in all) "
@@ -178,10 +165,11 @@ class SystemConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
 
-    @property
-    def geometry(self) -> ArrayGeometry:
-        return ArrayGeometry(n_t=self.n_t, n_r=self.n_r, l_t=self.l_t,
-                             l_r=self.l_r, spacing=self.spacing)
+    @functools.cached_property
+    def channel(self) -> ChannelModel:
+        """The config's channel model, built once; it holds the normalised beta and n_paths."""
+        return ChannelModel(n_t=self.n_t, n_r=self.n_r, l_t=self.l_t, l_r=self.l_r,
+                            beta=self.beta, n_paths=self.n_paths, spacing=self.spacing)
 
     @property
     def n_info(self) -> int:
@@ -232,10 +220,8 @@ class _FramePipeline:
         self.config = config
         self.params = build_params(config.dim)
         self.constellation = QamConstellation(config.constellation_order)
-        self.geom = config.geometry
+        self.channel = config.channel
         self.perm, self.deint_rows = interleaver(config.n_coded, config.master_seed)
-        self.beta = np.asarray(config.beta, dtype=float)
-        self.paths = np.asarray(config.n_paths)
         self.detector = MetricEngine(self.params, self.constellation)
 
     def submit(self, *batch) -> Future:
@@ -254,7 +240,7 @@ class _FramePipeline:
         Frames are independent and run in blocks of at most _BLOCK_FRAMES,
         so memory stays bounded for any batch size.
         """
-        n0 = noise_variance(self.geom.total_tx, snr_db)
+        n0 = noise_variance(self.channel.total_tx, snr_db)
         stop = frame_start + n_frames
         errors = sum(self._run_block(n0, snr_index, start, min(_BLOCK_FRAMES, stop - start))
                      for start in range(frame_start, stop, _BLOCK_FRAMES))
@@ -302,7 +288,7 @@ class _FramePipeline:
         d = self.config.dim
         lam, pending = np.empty((len(rngs), d)), np.arange(len(rngs))
         for _ in range(_RESAMPLE_CAP + 1):
-            factors = draw_paths([rngs[i] for i in pending], self.geom, self.beta, self.paths)
+            factors = draw_paths([rngs[i] for i in pending], self.channel)
             cores = path_core(*factors)
             lam[pending] = np.linalg.svd(cores, compute_uv=False)[:, :d]
             pending = pending[is_degenerate(lam[pending])]
@@ -389,7 +375,7 @@ def _run_points(runner, points, noiseless: bool = False):
     running, first = set(), 0           # first: the lowest unfinished point
     snrs = [float("inf") if noiseless else s for s, _ in points]    # noise_variance(., inf) == 0
     for snr in snrs:                    # an SNR out of range fails before any batch runs
-        noise_variance(cfg.geometry.total_tx, snr)
+        noise_variance(cfg.channel.total_tx, snr)
 
     def pick():
         unfinished = [i for i in range(first, n) if not done[i]]

@@ -12,7 +12,7 @@ tap table rather than reading it.
 import numpy as np
 
 from bicmb_pc import detector
-from bicmb_pc.channel_model import ArrayGeometry, draw_paths, path_core
+from bicmb_pc.channel_model import ChannelModel, draw_paths, path_core
 from bicmb_pc.detector import Workspace
 from bicmb_pc.fec import GENERATORS, K, QamConstellation
 from bicmb_pc.pstbc import PerfectCodeParams
@@ -64,15 +64,14 @@ def draw_block_reference(rng: np.random.Generator, n_paths: int):
     return aoa, aod, alpha
 
 
-def assemble_channel(rng: np.random.Generator, geom: ArrayGeometry, beta,
-                     n_paths) -> np.ndarray:
+def assemble_channel(rng: np.random.Generator, channel: ChannelModel) -> np.ndarray:
     """Dense stacked (total_rx, total_tx) channel of draw_paths' factors."""
-    (a_r,), (gain,), (a_t,) = draw_paths([rng], geom, beta, n_paths)
+    (a_r,), (gain,), (a_t,) = draw_paths([rng], channel)
     return (a_r * gain) @ a_t.conj().T
 
 
-def theta_samples(rng: np.random.Generator, geom: ArrayGeometry, beta,
-                  n_paths, n_samples: int) -> np.ndarray:
+def theta_samples(rng: np.random.Generator, channel: ChannelModel,
+                  n_samples: int) -> np.ndarray:
     """Draws of the squared Frobenius norm sum_ij beta_ij ||H_ij||^2.
 
     Each is the squared norm of the path core, so large arrays cost no
@@ -81,7 +80,7 @@ def theta_samples(rng: np.random.Generator, geom: ArrayGeometry, beta,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    return np.array([np.linalg.norm(path_core(*draw_paths([rng], geom, beta, n_paths))) ** 2
+    return np.array([np.linalg.norm(path_core(*draw_paths([rng], channel))) ** 2
                      for _ in range(n_samples)])
 
 

@@ -12,7 +12,7 @@ import pytest
 from scipy import stats
 
 from bicmb_pc.analysis import empirical_slope, welch_satterthwaite
-from bicmb_pc.channel_model import ArrayGeometry
+from bicmb_pc.channel_model import ChannelModel
 from bicmb_pc.detector import MetricEngine
 from bicmb_pc.fec import QamConstellation, free_distance
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
@@ -50,9 +50,9 @@ def base_sweep():
 
 def test_criterion_01_diversity_order_exact():
     one = Fraction(1, 100)
-    uniform = [[one, one], [one, one]]
-    kappa_u, theta_u = welch_satterthwaite(uniform, [[2, 2], [2, 2]])
-    kappa_n, _ = welch_satterthwaite(uniform, [[6, 2], [3, 1]])
+    uniform = dict(n_t=16, n_r=8, l_t=2, l_r=2, beta=((0.01, 0.01), (0.01, 0.01)))
+    kappa_u, theta_u = welch_satterthwaite(ChannelModel(**uniform, n_paths=((2, 2), (2, 2))))
+    kappa_n, _ = welch_satterthwaite(ChannelModel(**uniform, n_paths=((6, 2), (3, 1))))
     assert isinstance(kappa_u, Fraction) and isinstance(kappa_n, Fraction)
     assert kappa_u == Fraction(8)
     assert kappa_n == Fraction(8)
@@ -93,13 +93,12 @@ def test_criterion_03_detector_oracle_equivalence():
     x_all = const.points[labels].reshape(-1, d, d)
     z_all = encode_batch(params, x_all)                        # (65536, 2, 2)
 
-    geom = ArrayGeometry(n_t=8, n_r=4, l_t=2, l_r=2)
-    beta = np.full((2, 2), 0.01)
-    n0 = noise_variance(geom.total_tx, 10.0)
+    channel = ChannelModel(n_t=8, n_r=4, l_t=2, l_r=2, beta=np.full((2, 2), 0.01), n_paths=2)
+    n0 = noise_variance(channel.total_tx, 10.0)
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
-        h = assemble_channel(rng, geom, beta, 2)
+        h = assemble_channel(rng, channel)
         lam = np.linalg.svd(h, compute_uv=False)[:d]
         z_true = z_all[rng.integers(0, len(z_all))]
         noise = rng.standard_normal((d, d, 2)) @ np.array([1.0, 1.0j])
@@ -142,12 +141,11 @@ def test_criterion_05_free_distance():
 
 
 def test_criterion_06_gamma_shape_statistics():
-    geom = ArrayGeometry(n_t=64, n_r=64, l_t=2, l_r=2)
-    beta = 0.01
+    channel = ChannelModel(n_t=64, n_r=64, l_t=2, l_r=2, beta=np.full((2, 2), 0.01), n_paths=2)
     rng = np.random.default_rng(2026)
-    samples = theta_samples(rng, geom, np.full((2, 2), beta), 2, 5000)
-    scaled = samples / (geom.n_t * geom.n_r)
-    kappa, theta = welch_satterthwaite(np.full((2, 2), beta), [[2, 2], [2, 2]])
+    samples = theta_samples(rng, channel, 5000)
+    scaled = samples / (channel.n_t * channel.n_r)
+    kappa, theta = welch_satterthwaite(channel)
     assert kappa == 8.0
     result = stats.kstest(scaled, "gamma", args=(float(kappa), 0.0, float(theta)))
     assert result.pvalue >= 0.01

@@ -6,63 +6,57 @@ import numpy as np
 import pytest
 
 from bicmb_pc.analysis import empirical_slope, pep_bound, welch_satterthwaite, zeta_min
+from bicmb_pc.channel_model import ChannelModel
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params
 from oracles import snr_at_ber
 
 
+def ws(beta, n_paths):
+    """welch_satterthwaite of a 16 x 8 antenna model with these grids."""
+    l_r, l_t = np.shape(beta)
+    return welch_satterthwaite(ChannelModel(n_t=16, n_r=8, l_t=l_t, l_r=l_r, beta=beta,
+                                            n_paths=n_paths))
+
+
 def test_uniform_profile_exact_kappa():
-    kappa, theta = welch_satterthwaite([[1, 1], [1, 1]], [[2, 2], [2, 2]])
+    kappa, theta = ws([[1, 1], [1, 1]], [[2, 2], [2, 2]])
     assert isinstance(kappa, Fraction)
     assert kappa == Fraction(8)
     assert theta == Fraction(1, 2)
+    # each float beta counts as the decimal it prints as
+    kappa, theta = ws(0.01 * np.ones((2, 2)), 2)
+    assert isinstance(kappa, Fraction) and isinstance(theta, Fraction)
+    assert (kappa, theta) == (8, Fraction(1, 200))
 
 
 def test_uneven_paths_same_kappa():
     # 1/6 + 1/2 + 1/3 + 1/1 = 2, so kappa again (4b)^2 / (2 b^2) = 8
-    kappa, theta = welch_satterthwaite([[1, 1], [1, 1]], [[6, 2], [3, 1]])
+    kappa, theta = ws([[1, 1], [1, 1]], [[6, 2], [3, 1]])
     assert kappa == Fraction(8)
 
 
 def test_kappa_theta_product_is_total_gain():
     beta = [[Fraction(3, 100), Fraction(1, 100)], [Fraction(2, 100), Fraction(4, 100)]]
-    kappa, theta = welch_satterthwaite(beta, [[2, 3], [1, 4]])
+    kappa, theta = ws(beta, [[2, 3], [1, 4]])
     assert kappa * theta == sum(sum(row) for row in beta)
-
-
-def test_float_inputs_give_floats():
-    kappa, theta = welch_satterthwaite(0.01 * np.ones((2, 2)), [[2, 2], [2, 2]])
-    assert isinstance(kappa, float)
-    assert kappa == pytest.approx(8.0, abs=1e-12)
-    assert theta == pytest.approx(0.005, abs=1e-15)
+    # beta past float range when squared, or below it once divided, stays exact
+    for b in (1e200, 1e-320, 5e-324):
+        kappa, theta = ws([[b, b], [b, 0.0]], [[2, 3], [1, 4]])
+        assert kappa * theta == 3 * Fraction(str(b))
 
 
 def test_kappa_bounded_by_total_paths():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        shape = (rng.integers(1, 4), rng.integers(1, 4))
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 4)))
         beta = rng.integers(1, 20, shape)
         paths = rng.integers(1, 6, shape)
-        kappa, _ = welch_satterthwaite(beta, paths)
+        kappa, _ = ws(beta, paths)
         assert kappa <= int(paths.sum())
     # equality when beta proportional to the path counts
-    kappa, _ = welch_satterthwaite([[4, 2], [6, 2]], [[2, 1], [3, 1]])
+    kappa, _ = ws([[4, 2], [6, 2]], [[2, 1], [3, 1]])
     assert kappa == 7
-
-
-def test_welch_satterthwaite_validation():
-    with pytest.raises(ValueError, match="2-d grid"):
-        welch_satterthwaite([1, 1], [1, 1])
-    with pytest.raises(ValueError, match="match beta shape"):
-        welch_satterthwaite([[1, 1]], [[1, 1], [1, 1]])
-    with pytest.raises(ValueError, match="match beta shape"):
-        welch_satterthwaite([[1, 1]], 2)       # a scalar is no grid
-    with pytest.raises(ValueError, match="nonnegative"):
-        welch_satterthwaite([[1, -1]], [[2, 2]])
-    with pytest.raises(ValueError, match="positive entries"):
-        welch_satterthwaite([[0, 0]], [[2, 2]])
-    with pytest.raises(ValueError, match="positive integers"):
-        welch_satterthwaite([[1, 1]], [[0, 1]])
 
 
 def pairwise_zeta_min(params, constellation):
@@ -154,6 +148,11 @@ def test_pep_bound_reads_its_limits_past_float_range():
     vals = pep_bound(np.array([3082.0, 1e308, -3060.0, -1e308]), kappa=8.0, theta=0.005,
                      zeta=0.1, dim=2, total_tx=32, l_t=2)
     assert vals.tolist() == [0.0, 0.0, np.inf, np.inf]
+    # a positive theta that rounds to 0.0 reads the vacuous limit
+    theta = Fraction(5, 6 * 10 ** 324)
+    vals = pep_bound(np.array([30.0, 3082.0]), kappa=8, theta=theta, zeta=0.1, dim=2,
+                     total_tx=32, l_t=2)
+    assert vals.tolist() == [np.inf, np.inf]
 
 
 @pytest.mark.parametrize("name", ["kappa", "theta", "zeta"])

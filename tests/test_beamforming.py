@@ -6,17 +6,16 @@ full model from the dense channel's numpy SVD and compare.
 import numpy as np
 import pytest
 
-from bicmb_pc.channel_model import ArrayGeometry
+from bicmb_pc.channel_model import ChannelModel
 from bicmb_pc.pstbc import build_params, encode_batch
 from bicmb_pc.sim_engine import cn_noise, is_degenerate, noise_variance
 from oracles import assemble_channel, cn_noise_reference
 
-GEOM = ArrayGeometry(n_t=16, n_r=8, l_t=2, l_r=2)
+CHANNEL = ChannelModel(n_t=16, n_r=8, l_t=2, l_r=2, beta=0.01 * np.ones((2, 2)), n_paths=2)
 
 
 def _channel(seed=5):
-    rng = np.random.default_rng(seed)
-    return assemble_channel(rng, GEOM, 0.01 * np.ones((2, 2)), n_paths=2)
+    return assemble_channel(np.random.default_rng(seed), CHANNEL)
 
 
 def _beamformers(h, d):

@@ -219,17 +219,17 @@ def test_analyze_reports_diversity(config_file, tmp_path, capsys):
     main(["sweep", "--config", str(config_file), "--out", str(out),
           "--snr-min", "4", "--snr-max", "40", "--snr-step", "18"])
     capsys.readouterr()
-    rc = main(["analyze", str(out), "--config", str(config_file),
-               "--exact-ratios"])
+    rc = main(["analyze", str(out), "--config", str(config_file)])
     assert rc == 0
     text = capsys.readouterr().out
-    assert "kappa (diversity order): 8" in text
+    assert "kappa (diversity order): 8\n" in text
+    assert "theta (gamma scale):     1/200\n" in text
     assert "zeta_min" in text
     cfg = load_config(str(config_file))
     _, rows = read_csv(out)
     expected = pep_bound([r.snr_db for r in rows], 8, 0.005,
                          zeta_min(build_params(2), QamConstellation(16)),
-                         2, cfg.geometry.total_tx, cfg.l_t)
+                         2, cfg.channel.total_tx, cfg.l_t)
     lines = [ln for ln in text.splitlines() if "pep bound" in ln]
     assert len(lines) == len(rows) == 3
     # the grid spans both sides of the 0.5 line: 4 and 22 dB are vacuous
@@ -240,6 +240,38 @@ def test_analyze_reports_diversity(config_file, tmp_path, capsys):
         value, vacuous = line.split("pep bound")[1], "(vacuous)" in line
         assert vacuous == (bound >= 0.5)
         assert float(value.replace("(vacuous)", "")) == pytest.approx(bound, rel=1e-4)
+
+
+def test_analyze_has_no_exact_ratios_flag(config_file, tmp_path, capsys):
+    # kappa is always exact, so the flag that asked for it is gone: a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", str(tmp_path / "res.csv"), "--config", str(config_file),
+              "--exact-ratios"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --exact-ratios" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta,n_paths,kappa", [
+    ("1e-320 1e-320; 1e-320 1e-320", "2 2; 2 2", "8"),     # b^2 / L underflows a float
+    ("1e200 0; 0 0", "2 2; 2 2", "2"),                      # b^2 overflows a float
+    ("5e-324 5e-324; 5e-324 5e-324", "6 6; 6 6", "24"),    # theta underflows a float
+], ids=["tiny-beta", "huge-beta", "tiny-theta"])
+def test_analyze_accepts_every_beta_that_sweep_accepts(tmp_path, capsys, beta, n_paths, kappa):
+    path = tmp_path / "edge.cfg"
+    path.write_text(BASE_CONFIG.replace("beta = 0.01 0.01; 0.01 0.01", f"beta = {beta}")
+                    .replace("n_paths = 2 2; 2 2", f"n_paths = {n_paths}"))
+    out = tmp_path / "res.csv"
+    assert main(["sweep", "--config", str(path), "--out", str(out),
+                 "--snr-min", "4", "--snr-max", "22", "--snr-step", "18"]) == 0
+    capsys.readouterr()
+    assert main(["analyze", str(out), "--config", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert f"kappa (diversity order): {kappa}\n" in captured.out
+    bounds = [line for line in captured.out.splitlines() if "pep bound" in line]
+    assert len(bounds) == 2
+    # the tiny gains leave every point far from the high-SNR regime
+    assert all(line.endswith("(vacuous)") for line in bounds) == (beta != "1e200 0; 0 0")
 
 
 def test_analyze_refuses_hash_mismatch(config_file, tmp_path, capsys):

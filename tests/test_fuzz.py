@@ -12,6 +12,7 @@ random seed and always covers the same cases.  The contract:
   a sweep that exits 1 ran no batch and wrote no CSV;
 - exit 2 prints argparse's usage and error lines;
 - exit 0 prints nothing to stderr;
+- a config that `sweep` accepts, `analyze --force` accepts too;
 - a CSV row with a negative count, or an SNR that is not finite or out of
   range, is refused.
 
@@ -34,7 +35,7 @@ BASE_CONFIG = [
 BASE_FLAGS = {"--snr-min": "-10", "--snr-max": "-5", "--snr-step": "5", "--workers": "1"}
 # "\udcff" is how Python holds an undecodable byte (0xff) of a file or argv
 # 2**63 + 5 is the first count numpy holds as uint64 rather than int64
-CORPUS = ("nan", "inf", "-0", "1e308", "1e-320", "1" + "0" * 39, "2.5", "", "; ;",
+CORPUS = ("nan", "inf", "-0", "1e308", "1e200", "1e-320", "1" + "0" * 39, "2.5", "", "; ;",
           "\udcff", str(2 ** 24), str(2 ** 63 + 5))
 # SNRs whose noise variance passes the ceiling, or whose 10 ** (snr / 10) underflows
 SNR_CORPUS = CORPUS + ("-3060", "-1e308", "-inf")
@@ -167,12 +168,14 @@ def test_mutated_inputs_keep_the_exit_contract(tmp_path, capsys, monkeypatch):
     for case, lines in config_mutations():
         config = write("case.cfg", lines)
         replay = f"config {lines!r}"
-        run(f"{replay}, {case}", sweep_argv(config, BASE_FLAGS))
-        run(f"{replay}, {case}", ["analyze", results, "--config", config, "--force"])
+        swept = run(f"{replay}, {case}", sweep_argv(config, BASE_FLAGS))
+        analyze = ["analyze", results, "--config", config, "--force"]
+        if run(f"{replay}, {case}", analyze) != 0 and swept == 0:
+            broken.append(f"{replay}, {case}: sweep accepted the config, analyze did not\n"
+                          f"  argv {analyze!r}")
     for case, lines, refused in csv_mutations(base_csv):
         csv = write("case.csv", lines)
-        run(f"csv {lines!r}, {case}", ["analyze", csv, "--config", base_config, "--exact-ratios"],
-            refused)
+        run(f"csv {lines!r}, {case}", ["analyze", csv, "--config", base_config], refused)
     for case, flags in flag_mutations():
         run(case, sweep_argv(base_config, flags))
     for case, out in (("--out is a directory", str(tmp_path)),

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import multiprocessing
 import os
+import pickle
 import signal
 import tracemalloc
 from concurrent.futures import FIRST_COMPLETED, Future
@@ -74,6 +75,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         # rank starved: one single-path block cannot carry two streams
         SystemConfig(beta=((1.0, 0.0), (0.0, 0.0)), n_paths=((1, 2), (2, 2)))
+    # the channel's own faults are reported before dim is checked against it
+    with pytest.raises(ValueError, match="beta entries must be nonnegative"):
+        SystemConfig(dim=6, n_t=1, n_r=1, beta=((-1.0, 0.01), (0.01, 0.01)))
     # a point stops only at a batch boundary, so a batch past the cap is refused
     for batch, cap in ((3, 2), (10 ** 40, 2)):
         with pytest.raises(ValueError, match=f"batch_frames = {batch} exceeds max_frames = {cap}"):
@@ -83,6 +87,17 @@ def test_config_validation():
 def test_scalar_n_paths_broadcast():
     cfg = SystemConfig(n_paths=2)
     assert cfg.n_paths == ((2, 2), (2, 2))
+
+
+def test_config_builds_its_channel_once():
+    cfg = SystemConfig(beta=np.full((2, 2), 0.01), n_paths=np.int64(3))
+    channel = cfg.channel
+    assert channel is cfg.channel
+    assert (channel.beta, channel.n_paths) == (cfg.beta, cfg.n_paths) == (
+        ((0.01, 0.01), (0.01, 0.01)), ((3, 3), (3, 3)))
+    assert (channel.total_tx, channel.total_rx) == (32, 16)
+    # a pool worker gets the built channel with the config
+    assert pickle.loads(pickle.dumps(cfg)).__dict__["channel"] == channel
 
 
 def test_config_hash_tracks_content():
@@ -589,9 +604,9 @@ def test_frame_ceiling_is_checked_at_config_time():
 def test_channel_draw_ceiling_is_checked_at_config_time():
     ceiling = sim_engine._MAX_PATH_ENTRIES
     # (16384 tx + 16384 rx antennas) x 8 paths sits on the ceiling
-    assert SystemConfig(n_t=8192, n_r=8192).geometry.total_tx * 2 * 8 == ceiling
+    assert SystemConfig(n_t=8192, n_r=8192).channel.total_tx * 2 * 8 == ceiling
     wide = SystemConfig(n_t=64, n_r=64, constellation_order=4)
-    assert (wide.geometry.total_tx + wide.geometry.total_rx) * 8 * 100 < ceiling
+    assert (wide.channel.total_tx + wide.channel.total_rx) * 8 * 100 < ceiling
     for n_t, n_r, entries in ((8193, 8192, 262160), (2 ** 20, 2 ** 20, 33554432)):
         with pytest.raises(ValueError, match=f"n_t = {n_t}, n_r = {n_r} and n_paths "
                            f"\\(8 paths in all\\) give {entries} steering entries"):
