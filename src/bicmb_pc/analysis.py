@@ -105,14 +105,22 @@ def pep_bound(snr_db, kappa, theta, zeta, dim: int, total_tx: int, l_t: int):
 
     Past floating-point range the bound reads its limits: 0 as the SNR grows
     and inf (vacuous) as it falls, or as a positive theta rounds to 0.0.
+    Where such a theta meets an SNR past float range, the exact argument
+    decides.
     """
     for name, v in (("kappa", kappa), ("theta", theta), ("zeta", zeta)):
         if not 0 < v < np.inf:      # on the value itself; NaN fails both comparisons
             raise ValueError(f"{name} must be positive and finite, got {v}")
-    with np.errstate(over="ignore", divide="ignore"):
-        snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-        arg = float(theta) * float(zeta) * dim * total_tx * snr / (4.0 * l_t)
-        return 0.5 * arg ** (-float(kappa))
+    # where a theta that rounds to 0.0 meets an overflowed SNR, arg is 0 * inf
+    # (NaN); exact moves a factor 10**s from the SNR onto theta, which brings
+    # both into float range
+    t = Fraction(theta)
+    s = (t.denominator.bit_length() - t.numerator.bit_length()) * 3 // 10
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        db = np.asarray(snr_db, dtype=float)
+        arg = float(theta) * float(zeta) * dim * total_tx * 10.0 ** (db / 10.0) / (4.0 * l_t)
+        exact = float(t * 10 ** s) * float(zeta) * dim * total_tx * 10.0 ** (db / 10.0 - s)
+        return 0.5 * np.where(np.isnan(arg), exact / (4.0 * l_t), arg) ** (-float(kappa))
 
 
 def empirical_slope(snr_db, ber) -> float:

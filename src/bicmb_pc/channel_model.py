@@ -104,13 +104,11 @@ def _grid(values) -> tuple:
 
 
 def array_response(n: int, angle, spacing: float = 0.5) -> np.ndarray:
-    """Unit-norm ULA steering vector(s); angle may be scalar or array.
+    """Unit-norm ULA steering vector(s) of n >= 1 elements; angle may be scalar or array.
 
     Element k carries phase 2*pi*spacing*k*sin(angle); output shape is
     angle.shape + (n,) for array input, (n,) for a scalar.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
     ang = np.asarray(angle, dtype=float)
     k = np.arange(n)
     phase = 2j * np.pi * spacing * np.multiply.outer(np.sin(ang), k)

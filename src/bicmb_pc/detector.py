@@ -93,18 +93,13 @@ class MetricEngine:
     def bit_metrics(self, lam: np.ndarray, groups: np.ndarray) -> np.ndarray:
         """lam (frames, d) singular values, groups (frames, n, d) weight-corrected observations.
 
-        Returns gamma[f, g, m, j, b], the min residual for group g of frame f
-        with bit j of symbol m equal to b.  gamma lives in the engine's
-        workspace, so this engine's next call overwrites it.
+        lam is nonnegative, as an SVD returns it.  Returns gamma[f, g, m, j, b],
+        the min residual for group g of frame f with bit j of symbol m equal
+        to b.  gamma lives in the engine's workspace, so this engine's next
+        call overwrites it.
         """
         lam, g = np.asarray(lam, dtype=float), np.asarray(groups)
         c, d, work = self.constellation, self.params.dim, self._work
-        if lam.ndim != 2 or lam.shape[1] != d:
-            raise ValueError(f"lam must have shape (frames, {d})")
-        if (lam < 0).any():
-            raise ValueError("singular values must be nonnegative")
-        if g.ndim != 3 or g.shape[0] != len(lam) or g.shape[2] != d:
-            raise ValueError(f"groups must be ({len(lam)}, n, {d})")
         q, r = qr_reduce(lam[:, :, None] * self.params.generator)
         qobs = g @ q.conj()                                 # Q^H y per group
         peel = 0

@@ -76,16 +76,12 @@ def _labels():
 def conv_encode(bits: np.ndarray) -> np.ndarray:
     """Encode every row along the last axis from the all-zero state.
 
-    bits (..., n) gives (..., 2n) coded bits, the two outputs of each step
-    adjacent.  Tail bits that flush the register are the caller's
-    responsibility.
+    bits (..., n) of 0/1 values gives (..., 2n) coded bits, the two outputs
+    of each step adjacent.  Tail bits that flush the register are the
+    caller's responsibility.
     """
-    b = np.asarray(bits)
-    if b.ndim == 0:
-        raise ValueError("bits must have at least one axis")
-    if not ((b == 0) | (b == 1)).all():
-        raise ValueError("bits must be 0/1")
-    b, n = b.astype(np.uint8), b.shape[-1]
+    b = np.asarray(bits, dtype=np.uint8)
+    n = b.shape[-1]
     out = np.zeros((2,) + b.shape, dtype=np.uint8)
     for i, k in zip(*np.nonzero(_TAPS[:, :n])):        # one shifted XOR per tap
         out[i, ..., k:] ^= b[..., :n - k]
@@ -113,27 +109,25 @@ def free_distance() -> int:
 def viterbi_decode_batch(metrics: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
     """Decode a batch of frames of per-coded-bit metric pairs.
 
-    metrics: (n_frames, 2*T, 2) with metrics[f, order[k], v] the cost of
-    coded bit k taking value v; +inf forbids a value, NaN and -inf are
-    rejected.  order is a permutation of the 2*T rows (None: the identity),
-    so a caller holding metrics in another order, such as interleaved,
-    passes its store and the row of each coded bit instead of a reordered
-    copy; each chunk of steps gathers only its own rows.  Paths start and
-    end in state 0; ties prefer the lower predecessor state.  Returns
-    (n_frames, T - N_TAIL) info bits.
+    metrics: (n_frames, 2*T, 2) with T > N_TAIL and metrics[f, order[k], v]
+    the cost of coded bit k taking value v; +inf forbids a value.  order is
+    an integer permutation of the 2*T rows (None: the identity), so a caller
+    holding metrics in another order, such as interleaved, passes its store
+    and the row of each coded bit instead of a reordered copy; each chunk of
+    steps gathers only its own rows.  Paths start and end in state 0; ties
+    prefer the lower predecessor state.  Returns (n_frames, T - N_TAIL)
+    info bits.
+
+    A NaN or -inf metric raises a ValueError.  No input check rules one
+    out, since it would come from a floating-point fault upstream, and the
+    add-compare-select's np.minimum would otherwise carry a NaN into the
+    survivors silently.
     """
     # np.take gathers fast only from a C-ordered array (a store already is)
     m = np.ascontiguousarray(metrics, dtype=float)
-    if m.ndim != 3 or m.shape[2] != 2 or m.shape[1] % 2:
-        raise ValueError("metrics must be shaped (n_frames, 2*T, 2)")
     n_frames, twot, _ = m.shape
     steps = twot // 2
-    if steps <= N_TAIL:
-        raise ValueError("frame shorter than the tail")
     rows = np.arange(twot) if order is None else np.asarray(order)
-    if rows.shape != (twot,) or rows.dtype.kind not in "iu" \
-            or not np.array_equal(np.sort(rows), np.arange(twot)):
-        raise ValueError(f"order must be a permutation of the {twot} metric rows")
     rows = rows.reshape(steps, 2)       # the rows of each step's two coded bits
     if not (m > -np.inf).all():
         raise ValueError("metrics must not be NaN or -inf")
@@ -249,11 +243,11 @@ class QamConstellation:
             table.setflags(write=False)
 
     def map_bits(self, bits: np.ndarray) -> np.ndarray:
-        """Vectorized mapping of a bit stream to symbols (labels MSB-first)."""
-        b = np.asarray(bits)
-        if b.size % self.bits_per_symbol:
-            raise ValueError("bit count must be a multiple of bits per symbol")
-        groups = b.reshape(-1, self.bits_per_symbol)
+        """Vectorized mapping of a bit stream to symbols (labels MSB-first).
+
+        The bit count is a multiple of bits_per_symbol.
+        """
+        groups = np.asarray(bits).reshape(-1, self.bits_per_symbol)
         weights = 1 << np.arange(self.bits_per_symbol - 1, -1, -1)
         labels = groups @ weights
         return self.points[labels]

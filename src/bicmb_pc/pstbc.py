@@ -157,14 +157,11 @@ def build_params(dim: int) -> PerfectCodeParams:
 def encode_batch(params: PerfectCodeParams, inputs: np.ndarray) -> np.ndarray:
     """Codeword matrices for one input block (D, D) or a stack (..., D, D).
 
-    inputs[..., v - 1, :] is the D-vector x_v of each codeword.
+    inputs[..., v - 1, :] is the D-vector x_v of each codeword, its entries
+    finite.
     """
     x = np.asarray(inputs, dtype=complex)
     d = params.dim
-    if x.ndim < 2 or x.shape[-2:] != (d, d):
-        raise ValueError(f"inputs must be shaped (..., {d}, {d}); got {x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("inputs must be finite")
     rotated = (x.reshape(-1, d) @ params.generator.T).reshape(x.shape)
     rotated *= params.weights
     # the D layers cover every entry once, so one scatter fills z
@@ -179,8 +176,4 @@ def group_decompose(y: np.ndarray, params: PerfectCodeParams) -> np.ndarray:
     Row v - 1 of the result holds conj(weight) * y[u, (u + v - 1) mod D]
     over u, the inverse of encode_batch's placement (|g| = 1).
     """
-    y = np.asarray(y)
-    d = params.dim
-    if y.shape[-2:] != (d, d):
-        raise ValueError(f"observation trailing dims must be ({d}, {d})")
-    return params.weights.conj() * y[..., np.arange(d), params.cols]
+    return params.weights.conj() * np.asarray(y)[..., np.arange(params.dim), params.cols]

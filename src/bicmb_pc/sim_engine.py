@@ -75,11 +75,10 @@ def is_degenerate(lam: np.ndarray):
 def noise_variance(total_tx: int, snr_db: float) -> float:
     """n0 = total_tx / 10^(snr_db / 10); snr_db = inf gives 0 (noiseless).
 
-    An SNR whose n0 is out of floating-point range or above NUMERIC_CEILING
-    is rejected by name.
+    total_tx is a ChannelModel's positive antenna count.  The SNR is outside
+    input: a NaN, or one whose n0 is out of floating-point range or above
+    NUMERIC_CEILING, is rejected by name.
     """
-    if total_tx < 1:
-        raise ValueError("total_tx must be positive")
     if np.isnan(float(snr_db)):
         raise ValueError(f"SNR {snr_db} dB is not a number")
     try:
@@ -95,12 +94,11 @@ def noise_variance(total_tx: int, snr_db: float) -> float:
 def cn_noise(rngs, shape: tuple, n0: float) -> np.ndarray:
     """Circularly symmetric complex Gaussian, variance n0 per entry.
 
-    One (*shape) draw per generator, stacked to (len(rngs), *shape); each
+    n0 is finite and nonnegative, as noise_variance returns it.  One
+    (*shape) draw per generator, stacked to (len(rngs), *shape); each
     generator fills its own slab of (real, imaginary) pairs through a float
     view of the result, and the scaling runs once, in place, for the stack.
     """
-    if not 0 <= n0 < np.inf:    # also rejects NaN
-        raise ValueError(f"n0 must be finite and nonnegative, got {n0}")
     noise = np.empty((len(rngs), *shape), dtype=complex)
     pairs = noise.view(float).reshape(*noise.shape, 2)
     for rng, slab in zip(rngs, pairs):
@@ -195,7 +193,8 @@ class SystemConfig:
 
 
 def config_hash(config: SystemConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True)
+    # a beta given as Fractions hashes as the floats a config file would give
+    blob = json.dumps(config.to_dict(), sort_keys=True, default=float)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -333,15 +332,17 @@ class _PoolRunner:
         """Cancel pending batches and stop the workers without waiting for running ones.
 
         Workers ignore SIGINT, so after Ctrl-C a shutdown alone would run
-        every started batch to its end; they are terminated first.  Python
-        has no public way to stop a pool's workers before 3.14, so they are
-        taken from pool._processes.  The shutdown then waits for the
-        executor's manager thread, which sees the dead workers, fails what
-        was pending and joins them: it is the one reaper, so no worker is
-        still listed as a child once close returns.
+        every started batch to its end; they are killed first.  SIGKILL runs
+        no handler, so a worker still starting, before _worker_signals has
+        reset SIGTERM, cannot run the parent's SIGTERM handler and print its
+        traceback.  Python has no public way to stop a pool's workers before
+        3.14, so they are taken from pool._processes.  The shutdown then
+        waits for the executor's manager thread, which sees the dead
+        workers, fails what was pending and joins them: it is the one
+        reaper, so no worker is still listed as a child once close returns.
         """
         for process in list((self.pool._processes or {}).values()):
-            process.terminate()
+            process.kill()
         self.pool.shutdown(cancel_futures=True)
 
 

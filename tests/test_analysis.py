@@ -153,6 +153,9 @@ def test_pep_bound_reads_its_limits_past_float_range():
     vals = pep_bound(np.array([30.0, 3082.0]), kappa=8, theta=theta, zeta=0.1, dim=2,
                      total_tx=32, l_t=2)
     assert vals.tolist() == [np.inf, np.inf]
+    # such a theta against an SNR that overflows is not 0 * inf: the SNR dominates
+    vals = pep_bound(np.array([1e308]), 8, Fraction(1, 10 ** 400), 0.1, 2, 32, 2)
+    assert vals.tolist() == [0.0]
 
 
 @pytest.mark.parametrize("name", ["kappa", "theta", "zeta"])

@@ -34,8 +34,6 @@ def test_noise_variance_convention():
     assert noise_variance(32, 0.0) == pytest.approx(32.0)
     assert noise_variance(32, 10.0) == pytest.approx(3.2)
     assert noise_variance(16, 20.0) == pytest.approx(0.16)
-    with pytest.raises(ValueError):
-        noise_variance(0, 10.0)
 
 
 def test_cn_noise_statistics():
@@ -44,9 +42,6 @@ def test_cn_noise_statistics():
     assert np.mean(np.abs(x) ** 2) == pytest.approx(0.5, rel=0.02)
     assert np.mean(x).real == pytest.approx(0.0, abs=0.01)
     assert np.mean(x**2) == pytest.approx(0.0, abs=0.01)  # circular symmetry
-    for bad in (-1.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="n0"):
-            cn_noise([rng], (4,), bad)
 
 
 @pytest.mark.parametrize("shape", [(), (7,), (5, 2), (3, 4, 2)])

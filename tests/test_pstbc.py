@@ -63,19 +63,6 @@ def test_encode_single_vector_is_diagonal():
     assert np.abs(z - np.diag(p.generator @ x1)).max() < 1e-14
 
 
-def test_encode_rejects_bad_shape_and_nonfinite():
-    p = pstbc.build_params(3)
-    for shape in ((2, 2), (5, 2, 3), (3,)):
-        with pytest.raises(ValueError):
-            pstbc.encode_batch(p, np.zeros(shape))
-    bad = np.zeros((4, 3, 3), dtype=complex)
-    bad[2, 0, 0] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        pstbc.encode_batch(p, bad)
-    with pytest.raises(ValueError, match="finite"):
-        pstbc.encode_batch(p, bad[2])
-
-
 @pytest.mark.parametrize("d", ALL_DIMS)
 def test_entry_layer_rule_matches_matrix_sum(d):
     # closed-form position rule against the literal sum over shift powers

@@ -4,13 +4,15 @@ import multiprocessing
 import os
 import pickle
 import signal
+import time
 import tracemalloc
 from concurrent.futures import FIRST_COMPLETED, Future
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bicmb_pc import channel_model, sim_engine
+from bicmb_pc import channel_model, cli, sim_engine
 from bicmb_pc.detector import MetricEngine
 from bicmb_pc.fec import QamConstellation
 from bicmb_pc.pstbc import build_params, encode_batch, group_decompose
@@ -107,6 +109,8 @@ def test_config_hash_tracks_content():
     assert a == b
     assert a != c
     assert len(a) == 64
+    # a beta of Fractions hashes as the floats a config file gives
+    assert config_hash(SystemConfig(beta=((Fraction(1, 100),) * 2,) * 2)) == a
 
 
 def test_batched_metrics_match_metric_engine():
@@ -413,6 +417,31 @@ def test_pool_workers_take_sigterm_by_default():
             runner.close()
     finally:
         signal.signal(signal.SIGTERM, previous)
+    assert not multiprocessing.active_children()
+
+
+def test_pool_workers_still_starting_are_killed_quietly(monkeypatch, capfd):
+    # a worker killed before _worker_signals resets SIGTERM still holds the
+    # CLI's handler; a SIGTERM would raise in its initializer and print a
+    # traceback, where SIGKILL ends it with no handler run
+    start = sim_engine._worker_signals
+
+    def slow_start():
+        time.sleep(0.5)
+        start()
+
+    monkeypatch.setattr(sim_engine, "_worker_signals", slow_start)
+    previous = signal.signal(signal.SIGTERM, cli._terminate)
+    try:
+        runner = sim_engine._PoolRunner(SMALL, 2)
+        runner.submit(6.0, 0, 0, 1)
+        processes = list(runner.pool._processes.values())
+        runner.close()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(processes) == 2
+    assert [p.exitcode for p in processes] == [-signal.SIGKILL] * 2
+    assert capfd.readouterr().err == ""
     assert not multiprocessing.active_children()
 
 
