@@ -3,17 +3,21 @@
 One frame = one channel realization carrying a whole interleaved coded
 block.  Frames are reproducible in isolation: frame k of SNR point i uses
 np.random.default_rng([master_seed, 1, i, k]), so results are identical
-for any worker count or batch schedule.  Points stop at a batch boundary
-once the bit-error or frame budget is reached.
+for any worker count, batch schedule or split of a batch.  Points stop at
+a batch boundary once the bit-error or frame budget is reached.
 
 Batches run on a runner: the in-process _FramePipeline, or a _PoolRunner
 whose pool workers each keep one _FramePipeline per config.  run_ber_point
-runs one point in process; run_sweep is the one place that picks in-process
-or pooled batches for its grid.  One scheduler, _run_points, serves both:
-it keeps one batch per worker unfinished, runs the batches known to be
-needed first, across points, and absorbs each point's batches in frame
-order.  A pipeline builds its detector once, and the detector keeps its
-buffers across every block the pipeline runs.
+runs one point on a _FramePipeline; run_sweep is the one place that picks
+in-process or pooled batches for its grid.  One scheduler, _run_points,
+serves both: it keeps one batch per worker unfinished, runs the batches
+known to be needed first, across points, and absorbs each point's batches
+in frame order.  A pipeline builds its detector once, and the detector
+keeps its buffers across every block the pipeline runs.  An in-process
+pipeline cuts each batch into contiguous shares, one per usable CPU: it
+runs the first share itself and forked helper processes, which it starts
+on its first split batch and keeps, run the others.  Pool workers and
+helpers run their batches whole.
 
 SVD beamforming reduces each channel H to the D strongest subchannels:
 W^H (H F Z + N) = diag(lam) Z + W^H N, and W^H N stays CN(0, n0) white
@@ -32,8 +36,12 @@ import csv
 import functools
 import hashlib
 import json
+import multiprocessing
+import os
 import signal
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+import weakref
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future, ProcessPoolExecutor,
+                                wait)
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -64,6 +72,14 @@ _DEGENERATE_REL_TOL = 1e-12
 # A pool starts all its workers at once and keeps one batch per worker in
 # flight, so the count is capped; past the CPU count nothing is gained.
 MAX_WORKERS = 64
+# An in-process batch is cut into at most one share per usable CPU, each of
+# at least _MIN_SHARE_FRAMES frames: the decoder's cost per frame rises
+# steeply below that (Viterbi ms per frame at 16, 32 and 64 frames per call:
+# 0.83-0.90, 0.59-0.60 and 0.45, on random metrics with one BLAS thread).  A
+# pool worker or helper counts as one CPU (_worker_signals), so it runs its
+# batches whole and never starts helpers.
+_MIN_SHARE_FRAMES = 32
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def is_degenerate(lam: np.ndarray):
@@ -211,7 +227,11 @@ class PointResult:
 
 
 class _FramePipeline:
-    """Per-config precomputed state shared by every frame."""
+    """Per-config precomputed state shared by every frame, and the helpers that split batches.
+
+    close() ends the helpers; so does collecting the pipeline, and they are
+    daemon processes, which end at interpreter exit.
+    """
 
     workers = 1     # a runner: batches run one at a time, inside submit
 
@@ -222,6 +242,19 @@ class _FramePipeline:
         self.channel = config.channel
         self.perm, self.deint_rows = interleaver(config.n_coded, config.master_seed)
         self.detector = MetricEngine(self.params, self.constellation)
+        self._helpers = []      # one _Helper per extra CPU, once a batch is split
+
+    def close(self):
+        """Kill the helpers with SIGKILL and reap them; a later split batch starts new ones."""
+        if self._helpers:
+            self._end_helpers()
+            self._helpers = []
+
+    def _start_helpers(self):
+        """Start one helper per extra CPU, filling the list as they start for close() to end."""
+        self._end_helpers = weakref.finalize(self, _end_helpers, self._helpers, os.getpid())
+        for _ in range(_CPUS - 1):
+            self._helpers.append(_Helper(self.config))
 
     def submit(self, *batch) -> Future:
         """Run the batch now; returns its completed future of (info_bits, errors)."""
@@ -236,14 +269,46 @@ class _FramePipeline:
         """Simulate frames [frame_start, frame_start + n_frames).
 
         Returns (info_bits_total, bit_errors_total).  snr_db = inf is noiseless.
-        Frames are independent and run in blocks of at most _BLOCK_FRAMES,
-        so memory stays bounded for any batch size.
+        The batch is cut into min(_CPUS, n_frames // _MIN_SHARE_FRAMES)
+        contiguous shares; with fewer than two it runs here, whole.  Frames are
+        independent and errors are integer sums, so the counts do not depend
+        on the cut.  Each share runs in blocks of at most _BLOCK_FRAMES, so
+        memory stays bounded for any batch size.
         """
         n0 = noise_variance(self.channel.total_tx, snr_db)
-        stop = frame_start + n_frames
-        errors = sum(self._run_block(n0, snr_index, start, min(_BLOCK_FRAMES, stop - start))
-                     for start in range(frame_start, stop, _BLOCK_FRAMES))
+        shares = min(_CPUS, n_frames // _MIN_SHARE_FRAMES)
+        if shares < 2:
+            errors = self._run_share(n0, snr_index, frame_start, n_frames)
+        else:
+            edges = [frame_start + n_frames * k // shares for k in range(shares + 1)]
+            errors = self._run_split(n0, snr_db, snr_index, edges)
         return n_frames * self.config.n_info, errors
+
+    def _run_split(self, n0: float, snr_db: float, snr_index: int, edges: list) -> int:
+        """Bit errors of the shares between edges: the first here, the others on helpers.
+
+        Every other share is sent before this process runs its own, and the
+        helpers' replies are read in share order, so the first failure raised
+        is the one a serial run would meet.  Any exception ends the helpers,
+        so no later batch reads a stale reply.
+        """
+        try:
+            if not self._helpers:
+                self._start_helpers()
+            shares = list(zip(self._helpers, edges[1:-1], edges[2:]))
+            for helper, start, stop in shares:
+                helper.send(snr_db, snr_index, start, stop - start)
+            errors = self._run_share(n0, snr_index, edges[0], edges[1] - edges[0])
+            return errors + sum(helper.errors() for helper, _, _ in shares)
+        except BaseException:
+            self.close()
+            raise
+
+    def _run_share(self, n0: float, snr_index: int, frame_start: int, n_frames: int) -> int:
+        """Bit errors of frames [frame_start, frame_start + n_frames), run here in blocks."""
+        stop = frame_start + n_frames
+        return sum(self._run_block(n0, snr_index, start, min(_BLOCK_FRAMES, stop - start))
+                   for start in range(frame_start, stop, _BLOCK_FRAMES))
 
     def _run_block(self, n0: float, snr_index: int, frame_start: int, n_frames: int) -> int:
         """Bit errors of frames [frame_start, frame_start + n_frames) at noise n0.
@@ -309,13 +374,94 @@ def _worker_pipeline(config: SystemConfig) -> _FramePipeline:
 
 
 def _worker_signals():
-    """Pool worker start-up: Ctrl-C is the parent's to handle, which shuts the pool down.
+    """Pool worker and helper start-up: Ctrl-C is the parent's to handle, which ends them.
 
     SIGTERM takes its default action again, whatever handler the parent had
-    when the worker forked, so terminating a worker ends it.
+    when the worker forked, so terminating a worker ends it.  The process
+    counts as one CPU, so it runs every batch whole and starts no helpers.
     """
+    global _CPUS
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    _CPUS = 1
+
+
+def _helper_main(config: SystemConfig, conn, parent_end) -> None:
+    """A helper's loop: run each (snr_db, snr_index, frame_start, n_frames) share it receives.
+
+    It replies with the share's (info_bits, errors), or with the exception
+    the share raised, and returns once its parent's end of the pipe closes;
+    a forked helper holds a copy of that end, which it closes first, so a
+    helper whose parent died ends too.
+    """
+    parent_end.close()
+    _worker_signals()
+    pipeline = _FramePipeline(config)
+    while True:
+        try:
+            share = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = pipeline.run_batch(*share)
+        except Exception as exc:    # re-raised in the parent
+            reply = exc
+        conn.send(reply)
+
+
+class _Helper:
+    """A process, forked like a pool worker, that runs batch shares on its own _FramePipeline.
+
+    It takes its shares over a pipe, not a pool: a pool's feeder and manager
+    threads need the GIL while the parent runs its own share, which delays
+    each share's start and its result by a millisecond or more.
+    """
+
+    def __init__(self, config: SystemConfig):
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(target=_helper_main,
+                                               args=(config, child, self.conn), daemon=True)
+        self.process.start()
+        child.close()
+
+    def send(self, *share):
+        self.share = share
+        try:
+            self.conn.send(share)
+        except OSError:
+            raise self._broken() from None
+
+    def errors(self) -> int:
+        """The bit errors of the share sent last; raises what the share raised."""
+        try:
+            reply = self.conn.recv()
+        except (EOFError, OSError):
+            raise self._broken() from None
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply[1]
+
+    def _broken(self) -> BrokenExecutor:
+        _, snr_index, start, n_frames = self.share
+        return BrokenExecutor(f"a helper process terminated abruptly while running frames "
+                              f"{start} to {start + n_frames - 1} of SNR point {snr_index}")
+
+
+def _end_helpers(helpers: list, owner: int):
+    """Kill the helpers with SIGKILL, then reap them and close their pipes.
+
+    SIGKILL runs no handler, so a helper still starting, before
+    _worker_signals has reset SIGTERM, cannot run the parent's SIGTERM
+    handler and print its traceback.  Only the process that started them
+    may end them: a forked child that inherited the list leaves it alone.
+    """
+    if os.getpid() != owner:
+        return
+    for helper in helpers:
+        helper.process.kill()
+    for helper in helpers:
+        helper.process.join()
+        helper.conn.close()
 
 
 class _PoolRunner:
@@ -407,15 +553,18 @@ def _run_points(runner, points, noiseless: bool = False):
 
 def run_ber_point(config: SystemConfig, snr_db: float, snr_index: int = 0,
                   noiseless: bool = False, pipeline: _FramePipeline | None = None) -> PointResult:
-    """Run batches of one point in this process until the error or frame budget is met.
+    """Run batches of one point on a _FramePipeline until the error or frame budget is met.
 
     pipeline is a _FramePipeline built for this config, so repeated calls
-    reuse its tables and detector buffers; without one, one is built here.
+    reuse its tables, detector buffers and helpers; the caller closes it.
+    Without one, one is built here and closed before returning.
     """
-    pipeline = _FramePipeline(config) if pipeline is None else pipeline
-    if pipeline.config != config:
-        raise ValueError("pipeline was built for a different config")
-    (result,) = _run_points(pipeline, [(snr_db, snr_index)], noiseless)
+    with contextlib.ExitStack() as owned:
+        if pipeline is None:
+            pipeline = owned.enter_context(contextlib.closing(_FramePipeline(config)))
+        if pipeline.config != config:
+            raise ValueError("pipeline was built for a different config")
+        (result,) = _run_points(pipeline, [(snr_db, snr_index)], noiseless)
     return result
 
 
@@ -430,10 +579,9 @@ def run_sweep(config: SystemConfig, snr_grid, workers: int = 1) -> list[PointRes
         raise ValueError("empty SNR grid")
     _check_workers(workers)
     points = [(s, i) for i, s in enumerate(grid)]
-    if workers == 1:
-        return list(_run_points(_FramePipeline(config), points))
-    with contextlib.closing(_PoolRunner(config, workers)) as pool:
-        return list(_run_points(pool, points))
+    runner = _FramePipeline(config) if workers == 1 else _PoolRunner(config, workers)
+    with contextlib.closing(runner):
+        return list(_run_points(runner, points))
 
 
 _CSV_COLUMNS = ("snr_db", "frames", "info_bits", "bit_errors")

@@ -465,6 +465,64 @@ def test_ctrl_c_stops_running_pool_batches(config_file, tmp_path, capsys, monkey
     assert not multiprocessing.active_children()
 
 
+SPLIT_CONFIG = BASE_CONFIG.replace("batch_frames = 4", "batch_frames = 64") \
+    .replace("max_frames = 8", "max_frames = 64")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="helpers must inherit the patched pipeline")
+def test_dead_helper_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    run_share = sim_engine._FramePipeline._run_share
+
+    def helpers_die(self, n0, snr_index, frame_start, n_frames):
+        if frame_start > 0:         # the second share, the helper's
+            os._exit(9)
+        return run_share(self, n0, snr_index, frame_start, n_frames)
+
+    monkeypatch.setattr(sim_engine._FramePipeline, "_run_share", helpers_die)
+    monkeypatch.setattr(sim_engine, "_CPUS", 2)
+    cfg, out = tmp_path / "split.cfg", tmp_path / "x.csv"
+    cfg.write_text(SPLIT_CONFIG)
+    rc = main(["sweep", "--config", str(cfg), "--out", str(out),
+               "--snr-min", "4", "--snr-max", "8"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "terminated abruptly while running frames 32 to 63 of SNR point 0" in err
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="helpers must inherit the patched pipeline")
+def test_ctrl_c_during_a_split_batch_stops_its_helpers(tmp_path, capsys, monkeypatch):
+    # helpers ignore SIGINT; the parent, waiting for their shares, must not wait them out
+    run_share = sim_engine._FramePipeline._run_share
+
+    def helpers_stall(self, n0, snr_index, frame_start, n_frames):
+        if frame_start > 0:
+            time.sleep(30)
+        return run_share(self, n0, snr_index, frame_start, n_frames)
+
+    monkeypatch.setattr(sim_engine._FramePipeline, "_run_share", helpers_stall)
+    monkeypatch.setattr(sim_engine, "_CPUS", 2)
+    cfg, out = tmp_path / "split.cfg", tmp_path / "x.csv"
+    cfg.write_text(SPLIT_CONFIG)
+    timer = threading.Timer(1.0, os.kill, (os.getpid(), signal.SIGINT))
+    start = time.monotonic()
+    timer.start()
+    try:
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out),
+                   "--snr-min", "4", "--snr-max", "8"])
+    finally:
+        timer.cancel()
+    assert rc == 130
+    assert time.monotonic() - start < 5
+    assert capsys.readouterr().err == "interrupted\n"
+    assert not out.exists()
+    assert not multiprocessing.active_children()
+
+
 def _proc_state_and_parent(pid: int):
     """(state, ppid) from /proc/<pid>/stat, or None once the process is gone."""
     try:
@@ -538,6 +596,39 @@ def test_sigterm_stops_a_pooled_sweep(tmp_path):
                     os.kill(pid, signal.SIGKILL)
                 with contextlib.suppress(ChildProcessError):
                     os.waitpid(pid, 0)
+
+
+ORPHANING_SCRIPT = """
+import os, signal
+from bicmb_pc import sim_engine
+sim_engine._CPUS = 2
+pipe = sim_engine._FramePipeline(sim_engine.SystemConfig(nominal_info_bits=128))
+pipe.run_batch(6.0, 0, 0, 64)
+print(pipe._helpers[0].process.pid, flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or multiprocessing.get_start_method() != "fork",
+                    reason="uses a Linux child subreaper, and helpers must fork")
+def test_helpers_end_when_their_parent_is_killed():
+    # SIGKILL runs no clean-up in the parent; a helper waiting for its next
+    # share must see its pipe close and end, not wait forever
+    with _subreaper():
+        proc = subprocess.run([sys.executable, "-c", ORPHANING_SCRIPT], env=_child_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == -signal.SIGKILL
+        helper = int(proc.stdout)
+        deadline = time.monotonic() + 10
+        try:
+            while os.waitpid(helper, os.WNOHANG) == (0, 0):
+                assert time.monotonic() < deadline, "the helper outlived its parent"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(helper, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(helper, 0)
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])

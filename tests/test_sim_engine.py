@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import gc
 import multiprocessing
 import os
 import pickle
@@ -673,7 +674,9 @@ def test_large_batch_equals_its_blocks():
     assert whole == tuple(map(sum, zip(*blocks)))
 
 
-def test_batch_memory_does_not_grow_with_frames():
+def test_batch_memory_does_not_grow_with_frames(monkeypatch):
+    # tracemalloc sees this process only, so the batch runs here whole
+    monkeypatch.setattr(sim_engine, "_CPUS", 1)
     pipe = sim_engine._FramePipeline(SMALL)
     pipe.run_batch(6.0, 0, 0, 1)                # build the cached tables
     peaks = []
@@ -685,3 +688,153 @@ def test_batch_memory_does_not_grow_with_frames():
         finally:
             tracemalloc.stop()
     assert peaks[1] < 2 * peaks[0]
+
+
+@pytest.mark.parametrize("dim,order", [(d, k) for d in (2, 3, 4, 6) for k in (4, 16)])
+def test_block_composition_never_changes_a_count(dim, order):
+    """Frames counted in 1-frame blocks, in a 5 + rest cut and in one block agree.
+
+    run_batch cuts a batch into shares and each share into blocks, so its
+    counts rest on this.
+    """
+    n_frames = 2 if (dim, order) == (6, 16) else 8
+    cfg = SystemConfig(dim=dim, constellation_order=order, nominal_info_bits=128,
+                       batch_frames=n_frames, max_frames=n_frames)
+    pipe = sim_engine._FramePipeline(cfg)
+    n0 = sim_engine.noise_variance(cfg.channel.total_tx, 8.0)
+    whole = pipe._run_block(n0, 0, 0, n_frames)
+    singles = sum(pipe._run_block(n0, 0, k, 1) for k in range(n_frames))
+    cut = min(5, n_frames - 1)
+    two = pipe._run_block(n0, 0, 0, cut) + pipe._run_block(n0, 0, cut, n_frames - cut)
+    assert whole > 0
+    assert singles == two == whole
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_batch_equals_the_whole_batch(monkeypatch, cpus):
+    run_share, here = sim_engine._FramePipeline._run_share, []
+
+    def spy(self, n0, snr_index, frame_start, n_frames):
+        here.append((frame_start, n_frames))    # helpers append to their own copy
+        return run_share(self, n0, snr_index, frame_start, n_frames)
+
+    monkeypatch.setattr(sim_engine._FramePipeline, "_run_share", spy)
+    pipe = sim_engine._FramePipeline(SMALL)
+    try:
+        for n_frames, first_share in ((64, 32), (65, 32), (200, 200 // cpus)):
+            monkeypatch.setattr(sim_engine, "_CPUS", 1)
+            whole = pipe.run_batch(6.0, 0, 8, n_frames)
+            monkeypatch.setattr(sim_engine, "_CPUS", cpus)
+            here.clear()
+            assert pipe.run_batch(6.0, 0, 8, n_frames) == whole
+            assert here == [(8, first_share)]
+        assert len(pipe._helpers) == cpus - 1
+    finally:
+        pipe.close()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="helpers must inherit the patched pipeline")
+def test_a_failed_split_batch_leaves_no_stale_reply(monkeypatch):
+    """A share's exception reaches the caller; the next batch reads only its own replies."""
+    run_share, parent = sim_engine._FramePipeline._run_share, os.getpid()
+
+    def fails(self, n0, snr_index, frame_start, n_frames):
+        if snr_index == 1 and os.getpid() == parent:
+            raise ValueError("the parent's share failed")
+        if snr_index == 2 and os.getpid() != parent:
+            raise ValueError("a helper's share failed")
+        return run_share(self, n0, snr_index, frame_start, n_frames)
+
+    expected = sim_engine._FramePipeline(SMALL).run_batch(6.0, 3, 0, 64)
+    monkeypatch.setattr(sim_engine._FramePipeline, "_run_share", fails)
+    monkeypatch.setattr(sim_engine, "_CPUS", 2)
+    pipe = sim_engine._FramePipeline(SMALL)
+    try:
+        for snr_index, who in ((1, "the parent's"), (2, "a helper's")):
+            with pytest.raises(ValueError, match=f"^{who} share failed$"):
+                pipe.run_batch(6.0, snr_index, 0, 64)
+            assert not multiprocessing.active_children()
+            assert pipe.run_batch(6.0, 3, 0, 64) == expected
+    finally:
+        pipe.close()
+
+
+def test_close_and_collection_end_a_pipelines_helpers(monkeypatch):
+    monkeypatch.setattr(sim_engine, "_CPUS", 3)
+    pipe = sim_engine._FramePipeline(SMALL)
+    counts = pipe.run_batch(6.0, 0, 0, 96)
+    processes = [helper.process for helper in pipe._helpers]
+    assert len(processes) == 2 and all(p.is_alive() for p in processes)
+    pipe.close()
+    assert [p.exitcode for p in processes] == [-signal.SIGKILL] * 2
+    assert not multiprocessing.active_children()
+    # the next split batch starts new helpers; collecting the pipeline ends them
+    assert pipe.run_batch(6.0, 0, 0, 96) == counts
+    processes = [helper.process for helper in pipe._helpers]
+    assert len(processes) == 2
+    del pipe
+    gc.collect()
+    assert [p.exitcode for p in processes] == [-signal.SIGKILL] * 2
+    assert not multiprocessing.active_children()
+
+
+def test_point_and_sweep_close_the_pipeline_they_build(monkeypatch):
+    built = []      # holds each pipeline, so only close() can end its helpers
+    init = sim_engine._FramePipeline.__init__
+
+    def spy(self, config):
+        init(self, config)
+        built.append(self)
+
+    monkeypatch.setattr(sim_engine._FramePipeline, "__init__", spy)
+    monkeypatch.setattr(sim_engine, "_CPUS", 2)
+    cfg = dataclasses.replace(SMALL, batch_frames=64, max_frames=64)
+    run_ber_point(cfg, 6.0)
+    assert not multiprocessing.active_children()
+    run_sweep(cfg, [6.0, 8.0])
+    assert not multiprocessing.active_children()
+    # each pipeline started its helpers and ended them
+    assert [pipe._end_helpers.alive for pipe in built] == [False, False]
+
+
+def test_helpers_still_starting_are_killed_quietly(monkeypatch, capfd):
+    # as with pool workers: a helper killed before _worker_signals resets
+    # SIGTERM still holds the CLI's handler, which SIGKILL never runs
+    start = sim_engine._worker_signals
+
+    def slow_start():
+        time.sleep(0.5)
+        start()
+
+    monkeypatch.setattr(sim_engine, "_worker_signals", slow_start)
+    monkeypatch.setattr(sim_engine, "_CPUS", 3)
+    previous = signal.signal(signal.SIGTERM, cli._terminate)
+    try:
+        pipe = sim_engine._FramePipeline(SMALL)
+        pipe._start_helpers()
+        processes = [helper.process for helper in pipe._helpers]
+        pipe.close()
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(processes) == 2
+    assert [p.exitcode for p in processes] == [-signal.SIGKILL] * 2
+    assert capfd.readouterr().err == ""
+    assert not multiprocessing.active_children()
+
+
+def _cpus_and_children_after_a_batch(config):
+    sim_engine._batch_worker(config, 6.0, 0, 0, 64)
+    return sim_engine._CPUS, len(multiprocessing.active_children())
+
+
+def test_pool_workers_start_no_helpers(monkeypatch):
+    monkeypatch.setattr(sim_engine, "_CPUS", 3)     # inherited by the forked workers
+    cfg = dataclasses.replace(SMALL, batch_frames=64, max_frames=64)
+    runner = sim_engine._PoolRunner(cfg, 2)
+    try:
+        assert runner.pool.submit(_cpus_and_children_after_a_batch, cfg).result(timeout=60) \
+            == (1, 0)
+    finally:
+        runner.close()
+    assert not multiprocessing.active_children()
